@@ -3,14 +3,19 @@
 //   * BM_BackpropFull vs BM_BackpropTruncated across T — the truncated
 //     backward pass is O(Nx^2) regardless of T while full BPTT is O(T Nx^2),
 //     i.e. the ~1/T compute reduction the paper states;
-//   * forward / DPRR / mask / ridge kernels for profiling context.
+//   * forward / DPRR / mask / ridge kernels for profiling context;
+//   * BM_Kernel, the serving kernel ledger: every simd::Kernels entry on
+//     every backend this host and build can run.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "data/synth.hpp"
 #include "dfr/backprop.hpp"
 #include "dfr/output.hpp"
 #include "dfr/ridge.hpp"
 #include "linalg/cholesky.hpp"
+#include "serve/simd_kernels.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -163,6 +168,152 @@ void BM_CholeskyFactor(benchmark::State& state) {
 BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
     ->Unit(benchmark::kMillisecond);
 
+// ---- serving kernel ledger ---------------------------------------------------
+// One row per simd::Kernels entry x available backend x shape, named
+// BM_Kernel/<entry>/<backend>/nx:<Nx>[/lanes:<lanes>]. Each iteration is the
+// call one reservoir step makes: single-series entries at Nx in {10, 30, 100},
+// batched entries at Nx = 30 over lanes in {1, 3, 8, 16}. items_per_second
+// counts series-steps, so single-series and batched rows compare directly.
+// Only the Kernels API is used, so the file builds against any commit that
+// has it and rows compare across builds.
+
+/// Random operands for one step at (nx, lanes); state buffers are SoA
+/// (nx * lanes), r is the DPRR accumulator (dprr_dim(nx) * lanes).
+struct KernelBuffers {
+  static constexpr std::size_t kChannels = 2;
+  std::size_t nx, lanes;
+  Nonlinearity f;  // the default kind, as in the synthetic serving models
+  FixedPointFormat fmt{4, 11};
+  Vector j, x_prev, x_k, out, r, weights, u;
+
+  KernelBuffers(std::size_t nodes, std::size_t lane_count)
+      : nx(nodes),
+        lanes(lane_count),
+        j(random_vector(nodes * lane_count, 1)),
+        x_prev(random_vector(nodes * lane_count, 2)),
+        x_k(random_vector(nodes * lane_count, 3)),
+        out(nodes * lane_count, 0.0),
+        r(dprr_dim(nodes) * lane_count, 0.0),
+        weights(random_vector(nodes * kChannels, 4)),
+        u(random_vector(kChannels * lane_count, 5)) {}
+
+  static Vector random_vector(std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    Vector v(n);
+    for (double& x : v) x = rng.uniform(-1.0, 1.0);
+    return v;
+  }
+};
+
+/// One Kernels entry: runs its per-step call and returns the buffer it wrote.
+/// The chain entries pass b = 0 so the in-place state stays the same from one
+/// iteration to the next; their cost does not depend on b.
+struct LedgerEntry {
+  const char* name;
+  bool batched;
+  double* (*run)(const simd::Kernels& k, KernelBuffers& b);
+};
+
+constexpr double kA = 0.5;
+
+const LedgerEntry kLedger[] = {
+    {"preadd_nonlin", false,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.preadd_nonlin(b.f, kA, b.j.data(), b.x_prev.data(), b.out.data(),
+                       b.nx);
+       return b.out.data();
+     }},
+    {"dprr_add", false,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.dprr_add(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx);
+       return b.r.data();
+     }},
+    {"scale_quantize", false,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.scale_quantize(b.fmt, 1.0, b.j.data(), b.nx);
+       return b.j.data();
+     }},
+    {"quant_preadd_nonlin", false,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.quant_preadd_nonlin(b.f, kA, b.fmt, b.j.data(), b.x_prev.data(),
+                             b.out.data(), b.nx);
+       return b.out.data();
+     }},
+    {"dprr_add_exact", false,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.dprr_add_exact(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx);
+       return b.r.data();
+     }},
+    {"batched_bchain", true,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.batched_bchain(0.0, b.x_prev.data(), b.out.data(), b.nx, b.lanes);
+       return b.out.data();
+     }},
+    {"batched_quant_bchain", true,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.batched_quant_bchain(0.0, b.fmt, b.x_prev.data(), b.out.data(), b.nx,
+                              b.lanes);
+       return b.out.data();
+     }},
+    {"batched_dprr_add", true,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.batched_dprr_add(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx,
+                          b.lanes);
+       return b.r.data();
+     }},
+    {"batched_dprr_add_exact", true,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.batched_dprr_add_exact(b.r.data(), b.x_k.data(), b.x_prev.data(),
+                                b.nx, b.lanes);
+       return b.r.data();
+     }},
+    {"batched_mask", true,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       k.batched_mask(b.weights.data(), b.nx, KernelBuffers::kChannels,
+                      b.u.data(), b.j.data(), b.lanes);
+       return b.j.data();
+     }},
+};
+
+void register_kernel_ledger() {
+  for (simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
+        simd::Backend::kAvx512}) {
+    if (!simd::backend_available(backend)) continue;
+    for (const LedgerEntry& entry : kLedger) {
+      const auto add = [&entry, backend](std::size_t nx, std::size_t lanes) {
+        std::string name = std::string("BM_Kernel/") + entry.name + "/" +
+                           simd::backend_name(backend) +
+                           "/nx:" + std::to_string(nx);
+        if (entry.batched) name += "/lanes:" + std::to_string(lanes);
+        const auto run = [&entry, backend, nx, lanes](benchmark::State& state) {
+          const simd::Kernels& kernels = simd::kernels_for(backend);
+          KernelBuffers buffers(nx, lanes);
+          for (auto _ : state) {
+            benchmark::DoNotOptimize(entry.run(kernels, buffers));
+            benchmark::ClobberMemory();
+          }
+          state.SetItemsProcessed(state.iterations() *
+                                  static_cast<std::int64_t>(lanes));
+        };
+        benchmark::RegisterBenchmark(name.c_str(), run);
+      };
+      if (entry.batched) {
+        for (std::size_t lanes : {1, 3, 8, 16}) add(30, lanes);
+      } else {
+        for (std::size_t nx : {10, 30, 100}) add(nx, 1);
+      }
+    }
+  }
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  register_kernel_ledger();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -16,6 +16,8 @@
 // translation units (simd_kernels_avx2.cpp, simd_kernels_avx512.cpp,
 // simd_kernels_neon.cpp) are built with per-file arch flags and register
 // themselves; dispatch picks the best kernel set the running CPU supports.
+// The ISA TUs share one kernel body, the templates of simd_kernels_impl.hpp
+// over a per-ISA vector-ops trait; each TU holds only its trait and table.
 // The `DFR_SIMD` environment variable (`scalar`, `avx2`, `avx512`, or
 // `neon`, read once at first use) or force_backend() (tests) override the
 // choice; forcing an unavailable backend throws CheckError.

@@ -1,0 +1,316 @@
+#pragma once
+// The one body of every ISA kernel set (simd_kernels.hpp's `Kernels`), as
+// templates over a per-ISA vector-ops trait. Private to the ISA translation
+// units: simd_kernels_{avx2,avx512,neon}.cpp each define a trait, include
+// this header INSIDE their arch guard (so the per-file -m flags and
+// -ffp-contract=off apply to every instantiation) and build their table with
+// kernel_table<Trait>(backend).
+//
+// A trait `Ops` provides, all static:
+//   vec, kWidth             the vector type and its doubles per vector
+//   load(p), store(p, v)    unaligned
+//   set1(x)                 broadcast
+//   add, sub, mul, div      lane-wise IEEE-754, one rounding each
+//   fma(a, b, c)            a*b + c with one rounding
+//   abs, min, max           min/max(a, b) need only order non-NaN lanes
+//   round(v)                to integral under the current rounding mode
+//                           (== std::nearbyint lane-wise)
+//   zero_nan(probe, v)      v with the lanes where `probe` is NaN set to +0.0
+//
+// Remainder policy, in one place (for_each_block) and the same on every ISA
+// and loop shape (Nx for the single-series kernels, lanes for the batched
+// ones): whole vectors first, then a scalar remainder that runs the same
+// block body through ScalarOps, one double at a time. A remainder element
+// therefore performs its lane's operations: std::fma where the body fuses,
+// one rounding per add and multiply elsewhere (these TUs build with
+// -ffp-contract=off, so nothing else fuses). No masked loads or stores.
+//
+// Everything here lives in an unnamed namespace. Each TU's instantiations
+// must stay its own: a helper with external linkage would be emitted as one
+// weak symbol in both the AVX2 and the AVX-512 object, and the linker would
+// keep one copy, compiled for one ISA, for both callers.
+#include <cmath>
+#include <cstddef>
+
+#include "serve/simd_kernels.hpp"
+
+namespace dfr::simd {
+namespace {
+
+/// The trait of the scalar remainder: a "vector" of one double, with the
+/// lane semantics of the x86 traits (min/max return the second operand when
+/// unordered; the quantizer's zero_nan overrides those lanes anyway).
+struct ScalarOps {
+  using vec = double;
+  static constexpr std::size_t kWidth = 1;
+
+  static vec load(const double* p) noexcept { return *p; }
+  static void store(double* p, vec v) noexcept { *p = v; }
+  static vec set1(double x) noexcept { return x; }
+  static vec add(vec a, vec b) noexcept { return a + b; }
+  static vec sub(vec a, vec b) noexcept { return a - b; }
+  static vec mul(vec a, vec b) noexcept { return a * b; }
+  static vec div(vec a, vec b) noexcept { return a / b; }
+  static vec fma(vec a, vec b, vec c) noexcept { return std::fma(a, b, c); }
+  static vec abs(vec v) noexcept { return std::fabs(v); }
+  static vec min(vec a, vec b) noexcept { return a < b ? a : b; }
+  static vec max(vec a, vec b) noexcept { return a > b ? a : b; }
+  static vec round(vec v) noexcept { return std::nearbyint(v); }
+  // probe != probe only for NaN. (Not std::isnan: that is an inline library
+  // function, which an unoptimized build would emit as a weak symbol in
+  // every ISA object.)
+  static vec zero_nan(vec probe, vec v) noexcept {
+    return probe != probe ? 0.0 : v;
+  }
+};
+
+/// body(Ops{}, i) for each whole vector of [0, n), then body(ScalarOps{}, i)
+/// for each remaining index. `body` is generic over its ops tag.
+template <class Ops, class Body>
+inline void for_each_block(std::size_t n, const Body& body) {
+  const std::size_t main = n - n % Ops::kWidth;
+  for (std::size_t i = 0; i < main; i += Ops::kWidth) body(Ops{}, i);
+  for (std::size_t i = main; i < n; ++i) body(ScalarOps{}, i);
+}
+
+/// The DPRR accumulate's rounding, fixed per `Kernels` entry: kFloat fuses
+/// each r + x*y into one rounding (the float family, ULP-bounded); kExact
+/// multiplies then adds, two roundings exactly like DprrAccumulator::add
+/// (the quantized family, bit-identical).
+enum class Accumulate { kFloat, kExact };
+
+template <class O, Accumulate kMode>
+inline typename O::vec madd(typename O::vec x, typename O::vec y,
+                            typename O::vec r) noexcept {
+  if constexpr (kMode == Accumulate::kFloat) {
+    return O::fma(x, y, r);
+  } else {
+    return O::add(r, O::mul(x, y));
+  }
+}
+
+/// FixedPointFormat's constants, read once per kernel call.
+struct QuantizeConsts {
+  double inv_res, res, hi, lo;
+  explicit QuantizeConsts(const FixedPointFormat& fmt) noexcept
+      : inv_res(1.0 / fmt.resolution()),
+        res(fmt.resolution()),
+        hi(fmt.max_value()),
+        lo(-fmt.max_value() - fmt.resolution()) {}
+};
+
+/// Twin of FixedPointFormat::quantize, bit-identical lane-wise: multiply by
+/// 1/resolution (scaling by an exact power of two rounds identically to the
+/// scalar's division by resolution), round to nearest under the current
+/// rounding mode, multiply back, clamp to [-max-res, max], and zero NaN lanes
+/// (the scalar returns 0.0 for NaN).
+template <class O>
+inline typename O::vec quantize(typename O::vec v,
+                                const QuantizeConsts& q) noexcept {
+  const typename O::vec out =
+      O::mul(O::round(O::mul(v, O::set1(q.inv_res))), O::set1(q.res));
+  return O::zero_nan(v, O::max(O::min(out, O::set1(q.hi)), O::set1(q.lo)));
+}
+
+// out[n] = a * f~(s_n) with s_n = make_s(ops, n): the float preadd loads
+// s = j[n] + x_prev[n], the quantized preadd additionally rounds s to the
+// state format. The polynomial / rational nonlinearities are written once
+// over the ops tag with the scalar evaluation order preserved; the
+// libm-backed ones (tanh, sine, Mackey–Glass with its pow) keep per-element
+// scalar calls on top of the same s-production semantics, so the stage
+// contract is unaffected.
+template <class Ops, class MakeS>
+inline void preadd_nonlin_body(const Nonlinearity& f, double a, double* out,
+                               std::size_t nx, const MakeS& make_s) {
+  const auto run = [&](const auto& value_of) {
+    for_each_block<Ops>(nx, [&]<class O>(O ops, std::size_t n) {
+      O::store(out + n, O::mul(O::set1(a), value_of(ops, make_s(ops, n))));
+    });
+  };
+  switch (f.kind()) {
+    case NonlinearityKind::kIdentity:
+      run([](auto, auto s) { return s; });
+      return;
+    case NonlinearityKind::kCubic:
+      // s - s*s*s/3, evaluated as ((s*s)*s)/3 like the scalar expression.
+      run([]<class O>(O, typename O::vec s) {
+        return O::sub(s, O::div(O::mul(O::mul(s, s), s), O::set1(3.0)));
+      });
+      return;
+    case NonlinearityKind::kSaturating:
+      run([]<class O>(O, typename O::vec s) {
+        return O::div(s, O::add(O::set1(1.0), O::abs(s)));
+      });
+      return;
+    case NonlinearityKind::kMackeyGlass:
+    case NonlinearityKind::kTanh:
+    case NonlinearityKind::kSine:
+      for (std::size_t n = 0; n < nx; ++n) {
+        out[n] = a * f.value(make_s(ScalarOps{}, n));
+      }
+      return;
+  }
+}
+
+template <class Ops>
+void preadd_nonlin(const Nonlinearity& f, double a, const double* j,
+                   const double* x_prev, double* out, std::size_t nx) {
+  preadd_nonlin_body<Ops>(f, a, out, nx, [&]<class O>(O, std::size_t n) {
+    return O::add(O::load(j + n), O::load(x_prev + n));
+  });
+}
+
+template <class Ops>
+void quant_preadd_nonlin(const Nonlinearity& f, double a,
+                         const FixedPointFormat& fmt, const double* j,
+                         const double* x_prev, double* out, std::size_t nx) {
+  const QuantizeConsts q(fmt);
+  preadd_nonlin_body<Ops>(f, a, out, nx, [&]<class O>(O, std::size_t n) {
+    return quantize<O>(O::add(O::load(j + n), O::load(x_prev + n)), q);
+  });
+}
+
+template <class Ops>
+void scale_quantize(const FixedPointFormat& fmt, double scale, double* values,
+                    std::size_t n) {
+  const QuantizeConsts q(fmt);
+  for_each_block<Ops>(n, [&]<class O>(O, std::size_t i) {
+    O::store(values + i,
+             quantize<O>(O::mul(O::load(values + i), O::set1(scale)), q));
+  });
+}
+
+// r[i*nx + jj] += x_k[i] * x_km1[jj], rounded per kMode, plus the
+// r[nx^2 + i] += x_k[i] node-sum column.
+template <class Ops, Accumulate kMode>
+void dprr_add(double* r, const double* x_k, const double* x_km1,
+              std::size_t nx) {
+  double* sums = r + nx * nx;
+  for (std::size_t i = 0; i < nx; ++i) {
+    const double xi = x_k[i];
+    double* row = r + i * nx;
+    for_each_block<Ops>(nx, [&]<class O>(O, std::size_t jj) {
+      O::store(row + jj, madd<O, kMode>(O::set1(xi), O::load(x_km1 + jj),
+                                        O::load(row + jj)));
+    });
+    sums[i] += xi;
+  }
+}
+
+// ---- batched (SoA) kernels: vectors span lanes, i.e. independent series ----
+// The B-chain dependence runs across node rows, never across lanes, so the
+// chain that serializes the single-series path becomes full-width
+// multiply+adds per node row here (no FMA — each lane must round exactly like
+// the scalar B-chain; see the batched contract in simd_kernels.hpp).
+
+// x_n = finish(v_n + b * x_{n-1}) per lane, where `finish` is the identity
+// for the float chain and the state-format quantization for the quantized
+// one.
+template <class Ops, class Finish>
+inline void bchain_body(double b, const double* head, double* x,
+                        std::size_t nx, std::size_t lanes,
+                        const Finish& finish) {
+  const double* prev = head;
+  for (std::size_t n = 0; n < nx; ++n) {
+    double* row = x + n * lanes;
+    for_each_block<Ops>(lanes, [&]<class O>(O ops, std::size_t l) {
+      O::store(row + l,
+               finish(ops, O::add(O::load(row + l),
+                                  O::mul(O::set1(b), O::load(prev + l)))));
+    });
+    prev = row;
+  }
+}
+
+template <class Ops>
+void batched_bchain(double b, const double* head, double* x, std::size_t nx,
+                    std::size_t lanes) {
+  bchain_body<Ops>(b, head, x, nx, lanes, [](auto, auto v) { return v; });
+}
+
+template <class Ops>
+void batched_quant_bchain(double b, const FixedPointFormat& fmt,
+                          const double* head, double* x, std::size_t nx,
+                          std::size_t lanes) {
+  const QuantizeConsts q(fmt);
+  bchain_body<Ops>(b, head, x, nx, lanes,
+                   [&]<class O>(O, typename O::vec v) {
+                     return quantize<O>(v, q);
+                   });
+}
+
+// Batched SoA DPRR accumulate: every (i, j) cross product is one full-width
+// accumulate over the lane dimension — nx^2 vector ops per step with no
+// serial chain, full lanes at any Nx. Lane blocks are the outer loop over j
+// so each block's x_k[i] values load once, not once per j (the stores
+// through `row` may alias x_k as far as the compiler knows, so a load inside
+// the j loop would repeat every iteration). Each (i, j, l) element is
+// touched exactly once either way.
+//
+// GCC unrolls the j loop 4x. A micro-batch narrower than the vector runs
+// wholly in the scalar remainder, where one element per iteration made this
+// loop's speed depend on where it landed relative to the instruction fetch
+// window: perfbench serve-fleet capacity moved by 15% between two g++ builds
+// that differed only in loop alignment (-falign-loops). Clang builds keep
+// Clang's own unrolling choice, unmeasured here.
+template <class Ops, Accumulate kMode>
+void batched_dprr_add(double* r, const double* x_k, const double* x_km1,
+                      std::size_t nx, std::size_t lanes) {
+  double* sums = r + nx * nx * lanes;
+  for (std::size_t i = 0; i < nx; ++i) {
+    const double* xi = x_k + i * lanes;
+    double* block = r + i * nx * lanes;
+    for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
+      const typename O::vec vxi = O::load(xi + l);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC unroll 4
+#endif
+      for (std::size_t j = 0; j < nx; ++j) {
+        double* row = block + j * lanes + l;
+        O::store(row, madd<O, kMode>(vxi, O::load(x_km1 + j * lanes + l),
+                                     O::load(row)));
+      }
+    });
+    double* sum_row = sums + i * lanes;
+    for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
+      O::store(sum_row + l, O::add(O::load(sum_row + l), O::load(xi + l)));
+    });
+  }
+}
+
+// Batched SoA mask: broadcast one weight, multiply by the channel's lane
+// vector, accumulate with separate mul + add in ascending v — the scalar
+// dot() order per lane, so every lane is bit-identical to Mask::apply_into.
+template <class Ops>
+void batched_mask(const double* weights, std::size_t nx, std::size_t channels,
+                  const double* u, double* j, std::size_t lanes) {
+  for (std::size_t i = 0; i < nx; ++i) {
+    const double* wi = weights + i * channels;
+    double* row = j + i * lanes;
+    for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
+      typename O::vec acc = O::set1(0.0);
+      for (std::size_t v = 0; v < channels; ++v) {
+        acc = O::add(acc, O::mul(O::set1(wi[v]), O::load(u + v * lanes + l)));
+      }
+      O::store(row + l, acc);
+    });
+  }
+}
+
+template <class Ops>
+constexpr Kernels kernel_table(Backend backend) noexcept {
+  return Kernels{backend,
+                 &preadd_nonlin<Ops>,
+                 &dprr_add<Ops, Accumulate::kFloat>,
+                 &scale_quantize<Ops>,
+                 &quant_preadd_nonlin<Ops>,
+                 &dprr_add<Ops, Accumulate::kExact>,
+                 &batched_bchain<Ops>,
+                 &batched_quant_bchain<Ops>,
+                 &batched_dprr_add<Ops, Accumulate::kFloat>,
+                 &batched_dprr_add<Ops, Accumulate::kExact>,
+                 &batched_mask<Ops>};
+}
+
+}  // namespace
+}  // namespace dfr::simd

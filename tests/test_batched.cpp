@@ -122,10 +122,10 @@ constexpr NonlinearityKind kAllKinds[] = {
     NonlinearityKind::kCubic,     NonlinearityKind::kSaturating,
 };
 
-// Below any vector width, odd, prime, and large non-multiples of the NEON
-// (2), AVX2 (4), and AVX-512 (8) widths — for both Nx and the lane count.
-constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
-constexpr std::size_t kLaneCounts[] = {1, 2, 3, 5, 8, 16};
+// Nx sizes that hit every remainder mod the NEON (2), AVX2 (4), and AVX-512
+// (8) widths: below any width, odd, prime, large non-multiples, and exact
+// multiples (4, 8, 16), which leave the scalar remainder empty.
+constexpr std::size_t kRemainderSizes[] = {1, 2, 3, 4, 5, 7, 8, 16, 30, 101};
 
 std::vector<const Matrix*> series_ptrs(const std::vector<Matrix>& batch) {
   std::vector<const Matrix*> ptrs;
@@ -137,15 +137,15 @@ std::vector<const Matrix*> series_ptrs(const std::vector<Matrix>& batch) {
 // ---- float lanes: ULP bound vs the scalar pipeline --------------------------
 
 // Per lane, batched finalized features stay within the documented float SIMD
-// bound of the scalar FloatDatapath pipeline — for every nonlinearity, odd
-// Nx, odd lane count, and available backend. Each lane carries a distinct
-// series so a lane-index mixup cannot cancel out.
+// bound of the scalar FloatDatapath pipeline — for every nonlinearity, Nx
+// remainder, odd lane count, and available backend. Each lane carries a
+// distinct series so a lane-index mixup cannot cancel out.
 TEST(BatchedFloatEquivalence, FeaturesWithinUlpBoundAcrossShapesAndLanes) {
   constexpr std::size_t kTLen = 40;
   constexpr std::size_t kChannels = 3;
   Rng rng(42);
   for (NonlinearityKind kind : kAllKinds) {
-    for (std::size_t nx : kOddSizes) {
+    for (std::size_t nx : kRemainderSizes) {
       const LoadedModel model = make_model(nx, kChannels, 3, kind, 7 + nx);
       const ModelArtifactPtr artifact = model.artifact("m");
       InferenceEngine scalar_engine = make_engine(artifact);
@@ -196,7 +196,7 @@ TEST(BatchedFloatEquivalence, BitIdenticalToSingleSeriesSimdEngine) {
   constexpr std::size_t kTLen = 35;
   constexpr std::size_t kChannels = 2;
   Rng rng(97);
-  for (std::size_t nx : kOddSizes) {
+  for (std::size_t nx : kRemainderSizes) {
     const LoadedModel model =
         make_model(nx, kChannels, 4, NonlinearityKind::kTanh, 11 + nx);
     const ModelArtifactPtr artifact = model.artifact("m");
@@ -409,25 +409,35 @@ TEST(BatchedEngine, MalformedBatchesThrow) {
   EXPECT_THROW((void)engine.lane_features(1), CheckError);
 }
 
-// All lane counts up to kBatchedMaxLanes round-trip through infer() — the
-// kernels' lane loops handle every main/tail split.
+// Every lane count from 1 to kBatchedMaxLanes round-trips through infer() on
+// every available backend — the kernels' lane loops handle every whole-vector
+// / scalar-remainder split: labels match the scalar engine and logits are
+// bit-identical to the single-series SIMD engine on the same backend.
 TEST(BatchedEngine, EveryLaneCountUpToMaxWorks) {
   Rng rng(31);
   const LoadedModel model =
       make_model(5, 2, 3, NonlinearityKind::kCubic, 77);
   const ModelArtifactPtr artifact = model.artifact("m");
   InferenceEngine scalar_engine = make_engine(artifact);
-  for (std::size_t lanes : kLaneCounts) {
+  for (std::size_t lanes = 1; lanes <= simd::kBatchedMaxLanes; ++lanes) {
     std::vector<Matrix> batch;
     for (std::size_t l = 0; l < lanes; ++l) {
       batch.push_back(random_series(25, 2, rng));
     }
     const std::vector<const Matrix*> ptrs = series_ptrs(batch);
-    BatchedInferenceEngine engine = make_batched_engine(artifact, lanes);
-    engine.infer(std::span<const Matrix* const>(ptrs));
-    for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_EQ(engine.lane_label(l), scalar_engine.classify(batch[l]))
-          << "lanes=" << lanes << " lane=" << l;
+    for (simd::Backend b : available_backends()) {
+      SimdInferenceEngine single = make_simd_engine(artifact, b);
+      BatchedInferenceEngine engine = make_batched_engine(artifact, lanes, b);
+      engine.infer(std::span<const Matrix* const>(ptrs));
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::string context = std::string(simd::backend_name(b)) +
+                                    " lanes=" + std::to_string(lanes) +
+                                    " lane=" + std::to_string(l);
+        EXPECT_EQ(engine.lane_label(l), scalar_engine.classify(batch[l]))
+            << context;
+        expect_bit_identical(single.infer(batch[l]), engine.lane_logits(l),
+                             context);
+      }
     }
   }
 }

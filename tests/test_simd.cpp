@@ -2,7 +2,7 @@
 // SimdFloatDatapath): runtime dispatch and forcing (programmatic + DFR_SIMD
 // env), the exact-match contract on the mask/preadd stage, ULP-bounded
 // equivalence of finalized features against the scalar pipeline across every
-// nonlinearity and odd Nx sizes (Nx < vector width, Nx not a multiple of it),
+// nonlinearity and every vector-width remainder of Nx (including none),
 // classify_batch determinism under forced dispatch, the LoadedModel engine
 // knob, and the zero-steady-state-allocation guarantee for the SIMD engine.
 #include <gtest/gtest.h>
@@ -120,9 +120,10 @@ constexpr NonlinearityKind kAllKinds[] = {
     NonlinearityKind::kCubic,     NonlinearityKind::kSaturating,
 };
 
-// Odd shapes: below any vector width, odd, prime, and large non-multiples
-// of the NEON (2), AVX2 (4), and AVX-512 (8) widths.
-constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
+// Nx sizes that hit every remainder mod the NEON (2), AVX2 (4), and AVX-512
+// (8) widths: below any width, odd, prime, large non-multiples, and exact
+// multiples (4, 8, 16), which leave the scalar remainder empty.
+constexpr std::size_t kRemainderSizes[] = {1, 2, 3, 4, 5, 7, 8, 16, 30, 101};
 
 // ---- dispatch plumbing -----------------------------------------------------
 
@@ -266,7 +267,7 @@ TEST(SimdDispatch, ForceBackendSwitchesActive) {
 TEST(SimdKernels, PreaddStageBitExactAcrossBackends) {
   const simd::Kernels& scalar = simd::kernels_for(simd::Backend::kScalar);
   Rng rng(11);
-  for (std::size_t nx : kOddSizes) {
+  for (std::size_t nx : kRemainderSizes) {
     Vector j(nx), x_prev(nx), out_ref(nx), out(nx);
     for (std::size_t n = 0; n < nx; ++n) {
       j[n] = rng.uniform(-2.0, 2.0);
@@ -304,7 +305,7 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
   Rng rng(23);
   for (NonlinearityKind kind : kAllKinds) {
     const Nonlinearity f(kind);
-    for (std::size_t nx : kOddSizes) {
+    for (std::size_t nx : kRemainderSizes) {
       const ModularReservoir reservoir(nx, f);
       const Mask mask(nx, 2, MaskKind::kBinary, rng);
       Vector j(nx), x_prev(nx), ref(nx), out(nx);
@@ -335,9 +336,9 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
 // ---- pipeline equivalence: the documented ULP bound ------------------------
 
 // Finalized features (full mask -> step -> DPRR -> finalize pipeline) for
-// every nonlinearity and odd Nx, on every available backend, against the
-// FloatDatapath scalar pipeline: |diff| <= simd_feature_ulp_bound(T) ulps of
-// the largest-magnitude scalar feature (see simd_kernels.hpp).
+// every nonlinearity and Nx remainder, on every available backend, against
+// the FloatDatapath scalar pipeline: |diff| <= simd_feature_ulp_bound(T) ulps
+// of the largest-magnitude scalar feature (see simd_kernels.hpp).
 TEST(SimdEquivalence, FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes) {
   const DfrParams params{0.1, 0.05};
   constexpr std::size_t kTLen = 40;
@@ -345,7 +346,7 @@ TEST(SimdEquivalence, FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes) {
   Rng rng(42);
   for (NonlinearityKind kind : kAllKinds) {
     const Nonlinearity f(kind);
-    for (std::size_t nx : kOddSizes) {
+    for (std::size_t nx : kRemainderSizes) {
       const Mask mask(nx, kChannels, MaskKind::kBinary, rng);
       const Matrix series = random_series(kTLen, kChannels, rng);
 

@@ -3,7 +3,7 @@
 // STRICTER than the float SIMD suite's: fixed-point rounding is exact, so
 // quantized SIMD results are asserted BIT-IDENTICAL (EXPECT_EQ) to the
 // scalar QuantizedDatapath — across every FixedPointFormat configuration,
-// every nonlinearity, odd Nx sizes, and every available backend, at the
+// every nonlinearity, every Nx remainder, and every available backend, at the
 // stage level (vector round-to-format) and end to end (features, logits,
 // classify, batch, QuantizedDfr knob). Also pins the zero-steady-state-
 // allocation guarantee for the SIMD quantized engine. (On aarch64 the
@@ -103,9 +103,10 @@ constexpr NonlinearityKind kAllKinds[] = {
     NonlinearityKind::kCubic,     NonlinearityKind::kSaturating,
 };
 
-// Odd shapes: below any vector width, odd, prime, and large non-multiples
-// of the NEON (2), AVX2 (4), and AVX-512 (8) widths.
-constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
+// Nx sizes that hit every remainder mod the NEON (2), AVX2 (4), and AVX-512
+// (8) widths: below any width, odd, prime, large non-multiples, and exact
+// multiples (4, 8, 16), which leave the scalar remainder empty.
+constexpr std::size_t kRemainderSizes[] = {1, 2, 3, 4, 5, 7, 8, 16, 30, 101};
 
 /// Format sweeps for QuantizedInferenceConfig: the paper-default 16b/24b
 /// pairing, a narrow 8b-ish deployment, an asymmetric wide-feature config,
@@ -147,7 +148,9 @@ void expect_bit_identical(std::span<const double> expected,
 // scale_quantize (the vector round-to-format with saturation) against
 // FixedPointFormat::quantize per element, for every configured format,
 // including values that saturate both rails, ties, NaN, infinities, and
-// signed zero.
+// signed zero. The edge values sit at the end of the input, and the kernel
+// runs on every suffix that starts within the first 8 elements, so they
+// reach both the whole-vector body and the scalar remainder of every width.
 TEST(QuantKernels, ScaleQuantizeBitExactAcrossBackends) {
   Rng rng(3);
   for (const QuantizedInferenceConfig& config : format_configs()) {
@@ -175,17 +178,21 @@ TEST(QuantKernels, ScaleQuantizeBitExactAcrossBackends) {
         for (double& v : expected) v = fmt.quantize(v * scale);
 
         for (simd::Backend b : available_backends()) {
-          Vector got(input);
-          simd::kernels_for(b).scale_quantize(fmt, scale, got.data(),
-                                              got.size());
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            // Bit-level compare (0.0 vs -0.0 must match too).
-            ASSERT_EQ(expected[i], got[i])
-                << simd::backend_name(b) << " " << fmt.to_string()
-                << " scale=" << scale << " in=" << input[i];
-            ASSERT_EQ(std::signbit(expected[i]), std::signbit(got[i]))
-                << simd::backend_name(b) << " " << fmt.to_string()
-                << " scale=" << scale << " in=" << input[i];
+          for (std::size_t first = 0; first < 8; ++first) {
+            Vector got(input);
+            simd::kernels_for(b).scale_quantize(
+                fmt, scale, got.data() + first, got.size() - first);
+            for (std::size_t i = first; i < got.size(); ++i) {
+              // Bit-level compare (0.0 vs -0.0 must match too).
+              ASSERT_EQ(expected[i], got[i])
+                  << simd::backend_name(b) << " " << fmt.to_string()
+                  << " scale=" << scale << " first=" << first
+                  << " in=" << input[i];
+              ASSERT_EQ(std::signbit(expected[i]), std::signbit(got[i]))
+                  << simd::backend_name(b) << " " << fmt.to_string()
+                  << " scale=" << scale << " first=" << first
+                  << " in=" << input[i];
+            }
           }
         }
       }
@@ -194,13 +201,13 @@ TEST(QuantKernels, ScaleQuantizeBitExactAcrossBackends) {
 }
 
 // quant_preadd_nonlin (quantized preadd + nonlinearity) against the scalar
-// composition, for every nonlinearity and odd size.
+// composition, for every nonlinearity and Nx remainder.
 TEST(QuantKernels, QuantPreaddNonlinBitExactAcrossBackends) {
   Rng rng(11);
   const FixedPointFormat fmt{4, 11};
   for (NonlinearityKind kind : kAllKinds) {
     const Nonlinearity f(kind);
-    for (std::size_t nx : kOddSizes) {
+    for (std::size_t nx : kRemainderSizes) {
       Vector j(nx), x_prev(nx), expected(nx), got(nx);
       for (std::size_t n = 0; n < nx; ++n) {
         j[n] = rng.uniform(-2.0, 2.0);
@@ -228,7 +235,7 @@ TEST(QuantKernels, QuantPreaddNonlinBitExactAcrossBackends) {
 // no FMA means no drift — strict equality even after hundreds of rounds.
 TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
   Rng rng(17);
-  for (std::size_t nx : kOddSizes) {
+  for (std::size_t nx : kRemainderSizes) {
     constexpr std::size_t kSteps = 64;
     std::vector<Vector> xs;
     for (std::size_t k = 0; k <= kSteps; ++k) {
@@ -261,14 +268,14 @@ TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
 
 // The headline contract: SimdQuantizedDatapath features and logits are
 // EXPECT_EQ-identical to the scalar QuantizedDatapath for every format
-// configuration, nonlinearity, odd Nx, and available backend.
+// configuration, nonlinearity, Nx remainder, and available backend.
 TEST(QuantEquivalence, FeaturesAndLogitsBitIdenticalAcrossEverything) {
   constexpr std::size_t kTLen = 40;
   constexpr std::size_t kChannels = 3;
   Rng rng(42);
   for (const QuantizedInferenceConfig& config : format_configs()) {
     for (NonlinearityKind kind : kAllKinds) {
-      for (std::size_t nx : kOddSizes) {
+      for (std::size_t nx : kRemainderSizes) {
         const LoadedModel model = make_model(nx, kChannels, 3, kind, 7 + nx);
         QuantizedDfr quantized(model, config);
         // Calibrate on a tiny synthetic set so prescalers are non-trivial.
