@@ -69,16 +69,14 @@ int main(int argc, char** argv) {
 
       // beta selection on a validation split of the training features.
       Rng split_rng(options.seed);
-      auto [fit_split, val_split] = data.train.stratified_split(0.8, split_rng);
-      const FeatureMatrix fit_f = compute_features(
-          reservoir, model.params, model.mask, fit_split, kind);
-      const FeatureMatrix val_f = compute_features(
-          reservoir, model.params, model.mask, val_split, kind);
-      const RidgeSweep sweep =
-          sweep_ridge(fit_f, val_f, data.train.num_classes());
-      const OutputLayer layer =
-          fit_ridge(train_features, data.train.num_classes(), sweep.best().beta);
-      const double acc = evaluate_accuracy(layer, test_features);
+      const auto [fit_rows, val_rows] =
+          data.train.stratified_split_indices(0.8, split_rng);
+      const RidgeSelection selection = select_ridge(
+          train_features, fit_rows, val_rows, data.train.num_classes());
+      DFR_CHECK_MSG(selection.readout.has_value(),
+                    "ridge system is not positive definite");
+      const RidgeSweep& sweep = selection.sweep;
+      const double acc = evaluate_accuracy(*selection.readout, test_features);
 
       table.add_row({spec.id, representation_name(kind),
                      std::to_string(representation_dim(kind, config.nodes)),

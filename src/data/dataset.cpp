@@ -55,8 +55,8 @@ Dataset Dataset::capped(std::size_t max_samples) const {
   return subset(chosen);
 }
 
-std::pair<Dataset, Dataset> Dataset::stratified_split(double first_fraction,
-                                                      Rng& rng) const {
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>>
+Dataset::stratified_split_indices(double first_fraction, Rng& rng) const {
   DFR_CHECK(first_fraction > 0.0 && first_fraction < 1.0);
   std::vector<std::vector<std::size_t>> per_class(
       static_cast<std::size_t>(num_classes_));
@@ -80,6 +80,13 @@ std::pair<Dataset, Dataset> Dataset::stratified_split(double first_fraction,
   }
   std::sort(first_idx.begin(), first_idx.end());
   std::sort(second_idx.begin(), second_idx.end());
+  return {std::move(first_idx), std::move(second_idx)};
+}
+
+std::pair<Dataset, Dataset> Dataset::stratified_split(double first_fraction,
+                                                      Rng& rng) const {
+  const auto [first_idx, second_idx] =
+      stratified_split_indices(first_fraction, rng);
   return {subset(first_idx), subset(second_idx)};
 }
 

@@ -63,8 +63,13 @@ class Dataset {
   /// bench mode.
   [[nodiscard]] Dataset capped(std::size_t max_samples) const;
 
-  /// Split into (first, second) with `first_fraction` of samples in the first
-  /// part, stratified by class. Deterministic given the rng.
+  /// Sample indices of a split into (first, second) with `first_fraction` of
+  /// samples in the first part, stratified by class. Every index lands in
+  /// exactly one part; both parts are sorted. Deterministic given the rng.
+  [[nodiscard]] std::pair<std::vector<std::size_t>, std::vector<std::size_t>>
+  stratified_split_indices(double first_fraction, class Rng& rng) const;
+
+  /// The same split as copied datasets: subset() of each index part.
   [[nodiscard]] std::pair<Dataset, Dataset> stratified_split(
       double first_fraction, class Rng& rng) const;
 

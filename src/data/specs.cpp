@@ -23,7 +23,7 @@ const std::vector<DatasetSpec>& evaluation_specs() {
   // generator (TaskKind::kEventOrder) is kept as a library extension — pure
   // order tasks turn out to exceed the memory a 30-node identity-f DFR can
   // deliver inside the paper's (A, B) box, so they are not used for the
-  // Table-1 reproduction (see DESIGN.md).
+  // Table-1 reproduction.
   static const std::vector<DatasetSpec> specs = {
       //  id      V     T    Ny  train  test   bp-acc  difficulty  overlap
       {"ARAB", 13, 92, 10, 6600, 2200, 0.981, 0.85, 0.40},

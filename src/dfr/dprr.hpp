@@ -25,10 +25,10 @@ namespace dfr {
 /// plain sums, but its lr = 1 SGD protocol is only numerically sane when the
 /// feature scale is independent of series length — with raw sums the first
 /// full-rate output-layer update is O(T x^2) and the A-gradient feedback
-/// diverges within one epoch (see DESIGN.md §3, substitution 4). Averaging is
-/// equivalent up to a rescaling of the readout weights, so ridge results are
-/// unchanged. The backprop engine keeps raw-sum semantics; callers convert
-/// dL/d(avg) to dL/d(sum) by multiplying with this same factor.
+/// diverges within one epoch. Averaging is equivalent up to a rescaling of
+/// the readout weights, so ridge results are unchanged. The backprop engine
+/// keeps raw-sum semantics; callers convert dL/d(avg) to dL/d(sum) by
+/// multiplying with this same factor.
 [[nodiscard]] constexpr double dprr_time_scale(std::size_t t_len) noexcept {
   return 1.0 / static_cast<double>(t_len);
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "dfr/features.hpp"
 #include "util/check.hpp"
@@ -26,9 +27,11 @@ namespace {
 
 GridCandidate evaluate_candidate(const GridSearchConfig& config,
                                  const ModularReservoir& reservoir,
-                                 const Mask& mask, const Dataset& fit_split,
-                                 const Dataset& val_split, const Dataset& train,
-                                 const Dataset& test, double a, double b) {
+                                 const Mask& mask,
+                                 std::span<const std::size_t> fit_rows,
+                                 std::span<const std::size_t> val_rows,
+                                 const Dataset& train, const Dataset& test,
+                                 double a, double b) {
   GridCandidate out;
   out.a = a;
   out.b = b;
@@ -45,33 +48,29 @@ GridCandidate evaluate_candidate(const GridSearchConfig& config,
     out.validation_loss = std::numeric_limits<double>::infinity();
   };
 
-  const FeatureMatrix fit_features = compute_features(
-      reservoir, params, mask, fit_split, RepresentationKind::kDprr);
-  const FeatureMatrix val_features = compute_features(
-      reservoir, params, mask, val_split, RepresentationKind::kDprr);
-  if (!usable(fit_features) || !usable(val_features)) {
+  // The fit and validation rows are rows of the train features (each row is
+  // a pure function of its sample), so the reservoir runs once per sample.
+  const FeatureMatrix train_features = compute_features(
+      reservoir, params, mask, train, RepresentationKind::kDprr);
+  if (!usable(train_features)) {
     invalidate();
     return out;
   }
 
   try {
-    const RidgeSweep sweep = sweep_ridge(fit_features, val_features,
-                                         train.num_classes(), config.betas);
-    out.beta = sweep.best().beta;
-    out.validation_loss = sweep.best().selection_loss;
+    // Beta by validation loss, refit on the full training split, score test.
+    const RidgeSelection selection = select_ridge(
+        train_features, fit_rows, val_rows, train.num_classes(), config.betas);
+    out.beta = selection.sweep.best().beta;
+    out.validation_loss = selection.sweep.best().selection_loss;
 
-    // Refit on the full training split with the chosen beta, then score test.
-    const FeatureMatrix train_features = compute_features(
-        reservoir, params, mask, train, RepresentationKind::kDprr);
     const FeatureMatrix test_features = compute_features(
         reservoir, params, mask, test, RepresentationKind::kDprr);
-    if (!usable(train_features) || !usable(test_features)) {
+    if (!usable(test_features) || !selection.readout.has_value()) {
       invalidate();
       return out;
     }
-    const OutputLayer layer =
-        fit_ridge(train_features, train.num_classes(), out.beta);
-    out.test_accuracy = evaluate_accuracy(layer, test_features);
+    out.test_accuracy = evaluate_accuracy(*selection.readout, test_features);
     out.valid = true;
   } catch (const CheckError&) {
     invalidate();  // numerically degenerate normal equations
@@ -93,11 +92,12 @@ GridLevelResult run_grid_level(const GridSearchConfig& config, const Dataset& tr
   const ModularReservoir reservoir(config.nodes, f);
   const Mask mask(config.nodes, train.channels(), config.mask_kind, rng);
   Rng split_rng = rng.fork(0x5B1D);
-  auto [fit_split, val_split] =
-      train.stratified_split(1.0 - config.validation_fraction, split_rng);
-  if (fit_split.empty() || val_split.empty()) {
-    fit_split = train;
-    val_split = train;
+  auto [fit_rows, val_rows] = train.stratified_split_indices(
+      1.0 - config.validation_fraction, split_rng);
+  if (fit_rows.empty() || val_rows.empty()) {
+    fit_rows.resize(train.size());
+    std::iota(fit_rows.begin(), fit_rows.end(), std::size_t{0});
+    val_rows = fit_rows;
   }
 
   const std::vector<double> log_a =
@@ -118,7 +118,7 @@ GridLevelResult run_grid_level(const GridSearchConfig& config, const Dataset& tr
         const double a = std::pow(10.0, log_a[idx / divs]);
         const double b = std::pow(10.0, log_b[idx % divs]);
         result.candidates[idx] = evaluate_candidate(
-            config, reservoir, mask, fit_split, val_split, train, test, a, b);
+            config, reservoir, mask, fit_rows, val_rows, train, test, a, b);
       },
       {.threads = config.threads});
 

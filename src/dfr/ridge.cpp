@@ -10,6 +10,23 @@
 namespace dfr {
 namespace {
 
+/// Rows `rows` of `m`, in that order.
+Matrix gather_rows(const Matrix& m, std::span<const std::size_t> rows) {
+  Matrix out(rows.size(), m.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    DFR_CHECK(rows[i] < m.rows());
+    out.set_row(i, m.row(rows[i]));
+  }
+  return out;
+}
+
+FeatureMatrix gather_rows(const FeatureMatrix& fm,
+                          std::span<const std::size_t> rows) {
+  FeatureMatrix out{gather_rows(fm.features, rows), {}};
+  for (std::size_t i : rows) out.labels.push_back(fm.labels[i]);
+  return out;
+}
+
 /// R with a trailing column of ones (bias feature).
 Matrix augment_bias(const Matrix& r) {
   Matrix out(r.rows(), r.cols() + 1);
@@ -34,21 +51,94 @@ OutputLayer layer_from_augmented(const Matrix& x_aug) {
   return OutputLayer(std::move(w), std::move(b));
 }
 
-OutputLayer fit_primal(const Matrix& r_aug, const Matrix& targets, double beta) {
-  const Matrix gram = gram_at_a(r_aug, beta);      // (p+1) x (p+1)
-  const Matrix rhs = matmul_at_b(r_aug, targets);  // (p+1) x Ny
-  const Matrix x_aug = cholesky_solve_matrix(gram, rhs);
-  return layer_from_augmented(x_aug);
+/// The beta-free normal equations over one set of rows.
+struct RidgeSystem {
+  Matrix r_aug;    // N x (p+1)
+  Matrix targets;  // N x Ny, one-hot
+  Matrix lhs;      // dual: R_aug R_aug^T (N x N); primal: R_aug^T R_aug
+  Matrix rhs;      // primal only: R_aug^T D
+
+  [[nodiscard]] bool dual() const { return r_aug.rows() < r_aug.cols(); }
+
+  /// Fill lhs (and rhs) from r_aug and targets.
+  void build() {
+    if (!dual()) {
+      lhs = gram_at_a(r_aug);
+      rhs = matmul_at_b(r_aug, targets);
+      return;
+    }
+    // Entry (j, i) is the same dot() as (i, j) with each product's factors
+    // swapped, which rounds identically, so the lower triangle is mirrored.
+    const std::size_t n = r_aug.rows();
+    lhs.resize(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i; j < n; ++j) {
+        lhs(i, j) = lhs(j, i) = dot(r_aug.row(i), r_aug.row(j));
+      }
+    }
+  }
+
+  /// The system over rows `rows` of this one. A dual system over a dual one
+  /// reads its kernel as a sub-block; any other is built afresh.
+  [[nodiscard]] RidgeSystem sub(std::span<const std::size_t> rows) const {
+    RidgeSystem out{gather_rows(r_aug, rows), gather_rows(targets, rows), {}, {}};
+    if (!out.dual() || !dual()) {
+      out.build();
+      return out;
+    }
+    out.lhs.resize(rows.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t j = 0; j < rows.size(); ++j) {
+        out.lhs(i, j) = lhs(rows[i], rows[j]);
+      }
+    }
+    return out;
+  }
+
+  /// The readout for one beta; empty when lhs + beta I is not positive
+  /// definite.
+  [[nodiscard]] std::optional<OutputLayer> solve(double beta) const {
+    DFR_CHECK_MSG(beta > 0.0, "ridge needs beta > 0");
+    Matrix shifted = lhs;
+    for (std::size_t i = 0; i < shifted.rows(); ++i) shifted(i, i) += beta;
+    const CholeskySolver solver(shifted);
+    if (!solver.ok()) return std::nullopt;
+    // Dual: alpha = (K + beta I)^{-1} D, then W_aug^T = R_aug^T alpha.
+    return layer_from_augmented(dual() ? matmul_at_b(r_aug, solver.solve(targets))
+                                       : solver.solve(rhs));
+  }
+
+  [[nodiscard]] OutputLayer solve_or_throw(double beta) const {
+    std::optional<OutputLayer> layer = solve(beta);
+    DFR_CHECK_MSG(layer.has_value(), "ridge system is not positive definite");
+    return std::move(*layer);
+  }
+};
+
+RidgeSystem system_over(const FeatureMatrix& fm, int num_classes) {
+  DFR_CHECK_MSG(fm.features.rows() == fm.labels.size() && !fm.labels.empty(),
+                "feature/label mismatch");
+  RidgeSystem sys{augment_bias(fm.features), one_hot(fm.labels, num_classes),
+                  {}, {}};
+  sys.build();
+  return sys;
 }
 
-OutputLayer fit_dual(const Matrix& r_aug, const Matrix& targets, double beta) {
-  // K = R_aug R_aug^T + beta I  (N x N), alpha = K^{-1} D,
-  // W_aug^T = R_aug^T alpha.
-  Matrix kernel = matmul_a_bt(r_aug, r_aug);
-  for (std::size_t i = 0; i < kernel.rows(); ++i) kernel(i, i) += beta;
-  const Matrix alpha = cholesky_solve_matrix(kernel, targets);  // N x Ny
-  const Matrix x_aug = matmul_at_b(r_aug, alpha);               // (p+1) x Ny
-  return layer_from_augmented(x_aug);
+RidgeSweep sweep_system(const RidgeSystem& fit, const FeatureMatrix& selection,
+                        const std::vector<double>& betas) {
+  DFR_CHECK(!betas.empty());
+  RidgeSweep sweep;
+  double best_loss = std::numeric_limits<double>::infinity();
+  for (double beta : betas) {
+    RidgeCandidate candidate{beta, 0.0, fit.solve_or_throw(beta)};
+    candidate.selection_loss = evaluate_loss(candidate.layer, selection);
+    if (candidate.selection_loss < best_loss) {
+      best_loss = candidate.selection_loss;
+      sweep.best_index = sweep.candidates.size();
+    }
+    sweep.candidates.push_back(std::move(candidate));
+  }
+  return sweep;
 }
 
 }  // namespace
@@ -59,32 +149,26 @@ const std::vector<double>& paper_beta_grid() {
 }
 
 OutputLayer fit_ridge(const FeatureMatrix& train, int num_classes, double beta) {
-  DFR_CHECK_MSG(beta > 0.0, "ridge needs beta > 0");
-  DFR_CHECK_MSG(train.features.rows() == train.labels.size() &&
-                    !train.labels.empty(),
-                "feature/label mismatch");
-  const Matrix r_aug = augment_bias(train.features);
-  const Matrix targets = one_hot(train.labels, num_classes);
-  const bool use_dual = r_aug.rows() < r_aug.cols();
-  return use_dual ? fit_dual(r_aug, targets, beta)
-                  : fit_primal(r_aug, targets, beta);
+  return system_over(train, num_classes).solve_or_throw(beta);
 }
 
 RidgeSweep sweep_ridge(const FeatureMatrix& train, const FeatureMatrix& selection,
                        int num_classes, const std::vector<double>& betas) {
-  DFR_CHECK(!betas.empty());
-  RidgeSweep sweep;
-  double best_loss = std::numeric_limits<double>::infinity();
-  for (double beta : betas) {
-    RidgeCandidate candidate{beta, 0.0, fit_ridge(train, num_classes, beta)};
-    candidate.selection_loss = evaluate_loss(candidate.layer, selection);
-    if (candidate.selection_loss < best_loss) {
-      best_loss = candidate.selection_loss;
-      sweep.best_index = sweep.candidates.size();
-    }
-    sweep.candidates.push_back(std::move(candidate));
-  }
-  return sweep;
+  return sweep_system(system_over(train, num_classes), selection, betas);
+}
+
+RidgeSelection select_ridge(const FeatureMatrix& features,
+                            std::span<const std::size_t> fit_rows,
+                            std::span<const std::size_t> validation_rows,
+                            int num_classes, const std::vector<double>& betas) {
+  DFR_CHECK_MSG(!fit_rows.empty() && !validation_rows.empty(),
+                "select_ridge needs fit and validation rows");
+  const RidgeSystem all = system_over(features, num_classes);
+  RidgeSelection out{sweep_system(all.sub(fit_rows),
+                                  gather_rows(features, validation_rows), betas),
+                     std::nullopt};
+  out.readout = all.solve(out.sweep.best().beta);
+  return out;
 }
 
 double evaluate_loss(const OutputLayer& layer, const FeatureMatrix& data) {

@@ -13,10 +13,24 @@
 // dual. Both paths are Cholesky-based and agree to solver precision
 // (tested in tests/test_ridge.cpp).
 //
+// The system is built once per set of rows, without beta: the dual kernel
+// R_aug R_aug^T (upper triangle computed, then mirrored), or the primal Gram
+// R_aug^T R_aug plus R_aug^T D. Each beta only adds to the diagonal of a copy
+// before its Cholesky solve, so a sweep builds one system rather than one
+// per beta. select_ridge goes further in the dual: the fit rows' kernel is a
+// sub-block of the all-rows kernel, so the whole selection builds one. Every
+// result is bit-identical to building each (rows, beta) system from scratch:
+// a kernel entry is the same dot() over the same two rows in the same order
+// (IEEE products commute exactly), and a Gram diagonal is a sum of squares
+// from +0.0, so adding 0.0 and then beta rounds like adding beta.
+//
 // Beta selection follows the paper's protocol: fit for each beta in
 // {1e-6, 1e-4, 1e-2, 1} and keep the one with the smallest cross-entropy loss
-// L; we measure L on a held-out validation split (see DESIGN.md §3.2).
+// L. We measure L on a held-out validation split: on the rows the readout was
+// fit to, the weakest regularization fits best and would nearly always win.
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "dfr/features.hpp"
@@ -48,6 +62,23 @@ struct RidgeSweep {
 RidgeSweep sweep_ridge(const FeatureMatrix& train, const FeatureMatrix& selection,
                        int num_classes,
                        const std::vector<double>& betas = paper_beta_grid());
+
+/// The paper's beta protocol on one feature matrix: sweep `betas` fitting on
+/// `fit_rows` and scoring on `validation_rows` (indices into `features`), then
+/// refit the winner on every row. Bit-identical to sweep_ridge on the gathered
+/// rows followed by fit_ridge on all rows. Throws CheckError when a sweep
+/// system is not positive definite, as sweep_ridge does.
+struct RidgeSelection {
+  RidgeSweep sweep;
+  /// The winning beta fit on every row; empty when that system is not
+  /// positive definite.
+  std::optional<OutputLayer> readout;
+};
+RidgeSelection select_ridge(const FeatureMatrix& features,
+                            std::span<const std::size_t> fit_rows,
+                            std::span<const std::size_t> validation_rows,
+                            int num_classes,
+                            const std::vector<double>& betas = paper_beta_grid());
 
 /// Mean cross-entropy of `layer` on a feature matrix.
 double evaluate_loss(const OutputLayer& layer, const FeatureMatrix& data);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "dfr/features.hpp"
 #include "dfr/metrics.hpp"
@@ -204,31 +205,29 @@ TrainResult Trainer::fit(const Dataset& train) const {
   result.sgd_seconds = sgd_timer.elapsed_seconds();
   result.params = params;
 
-  // Phase 2: ridge refit of the output layer with beta selection.
+  // Phase 2: ridge refit of the output layer with beta selection. The fit
+  // and validation rows are picked out of one pass over the training set.
   Timer ridge_timer;
   Rng split_rng = rng.fork(0x5B1D);
-  auto [fit_split, val_split] =
-      train.stratified_split(1.0 - config_.validation_fraction, split_rng);
-  if (val_split.empty() || fit_split.empty()) {
-    fit_split = train;
-    val_split = train;  // degenerate fallback for tiny datasets
+  auto [fit_rows, val_rows] = train.stratified_split_indices(
+      1.0 - config_.validation_fraction, split_rng);
+  if (fit_rows.empty() || val_rows.empty()) {
+    // Degenerate fallback for tiny datasets: fit and select on every sample.
+    fit_rows.resize(train.size());
+    std::iota(fit_rows.begin(), fit_rows.end(), std::size_t{0});
+    val_rows = fit_rows;
   }
 
-  const FeatureMatrix fit_features =
-      compute_features(reservoir, params, mask, fit_split,
-                       RepresentationKind::kDprr, config_.threads);
-  const FeatureMatrix val_features =
-      compute_features(reservoir, params, mask, val_split,
-                       RepresentationKind::kDprr, config_.threads);
-  const RidgeSweep sweep =
-      sweep_ridge(fit_features, val_features, train.num_classes(), config_.betas);
-  result.chosen_beta = sweep.best().beta;
-  result.validation_loss = sweep.best().selection_loss;
-
-  const FeatureMatrix all_features =
+  const FeatureMatrix features =
       compute_features(reservoir, params, mask, train,
                        RepresentationKind::kDprr, config_.threads);
-  result.readout = fit_ridge(all_features, train.num_classes(), result.chosen_beta);
+  RidgeSelection selection = select_ridge(features, fit_rows, val_rows,
+                                          train.num_classes(), config_.betas);
+  DFR_CHECK_MSG(selection.readout.has_value(),
+                "ridge system is not positive definite");
+  result.chosen_beta = selection.sweep.best().beta;
+  result.validation_loss = selection.sweep.best().selection_loss;
+  result.readout = std::move(*selection.readout);
   result.ridge_seconds = ridge_timer.elapsed_seconds();
   result.mask = mask;
   return result;

@@ -8,8 +8,8 @@
 //     reservoir group and {10,15,20} for the output group.
 //  2. With (A, B) frozen, the output layer is refit by ridge regression,
 //     trying beta in {1e-6, 1e-4, 1e-2, 1} and keeping the beta with the
-//     smallest loss L (measured on a held-out validation split; see
-//     DESIGN.md §3.2), then refitting on the full training set.
+//     smallest loss L (measured on a held-out validation split, for the
+//     reason given in ridge.hpp), then refitting on the full training set.
 //
 // The default truncation_window = 1 is the paper's truncated backprop; 0
 // selects full BPTT (for the ablation and for gradient-exactness tests).

@@ -86,9 +86,12 @@ class Cursor {
   }
 
   /// Read `count` doubles into `out` (bit-exact memcpy). The count is
-  /// bounded by the remaining bytes before any allocation happens.
+  /// bounded by the remaining bytes before any allocation happens. An empty
+  /// read copies nothing: `out` (an empty vector's data()) and the body may
+  /// then be null, which memcpy does not accept even for zero bytes.
   void read_doubles(std::uint64_t count, double* out, const char* what) {
     DFR_CHECK_MSG(count <= remaining() / sizeof(double), what);
+    if (count == 0) return;
     std::memcpy(out, body_.data() + pos_,
                 static_cast<std::size_t>(count) * sizeof(double));
     pos_ += static_cast<std::size_t>(count) * sizeof(double);

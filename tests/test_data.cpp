@@ -2,6 +2,7 @@
 // generator, preprocessing, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cmath>
 #include <filesystem>
@@ -64,6 +65,37 @@ TEST(Dataset, StratifiedSplitKeepsAllSamplesAndBothSidesPerClass) {
   for (auto count : first.class_histogram()) EXPECT_GE(count, 1u);
   for (auto count : second.class_histogram()) EXPECT_GE(count, 1u);
   EXPECT_EQ(first.size(), 24u);
+}
+
+TEST(Dataset, StratifiedSplitIsSubsetOfSplitIndices) {
+  Dataset d("t", 3, 2, 1);
+  for (int i = 0; i < 17; ++i) {
+    Matrix series(2, 1);
+    series(0, 0) = i;  // distinct content, so a subset shows which samples
+    d.add({series, i % 5 == 0 ? 2 : i % 2});
+  }
+  Rng index_rng(11), split_rng(11);
+  const auto [first_idx, second_idx] = d.stratified_split_indices(0.7, index_rng);
+  const auto [first, second] = d.stratified_split(0.7, split_rng);
+
+  // The index parts partition [0, n) and are sorted.
+  std::vector<std::size_t> all = first_idx;
+  all.insert(all.end(), second_idx.begin(), second_idx.end());
+  std::sort(all.begin(), all.end());
+  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
+  EXPECT_EQ(all.size(), d.size());
+  EXPECT_TRUE(std::is_sorted(first_idx.begin(), first_idx.end()));
+  EXPECT_TRUE(std::is_sorted(second_idx.begin(), second_idx.end()));
+
+  for (const auto& [part, idx] : {std::pair{&first, &first_idx},
+                                  std::pair{&second, &second_idx}}) {
+    const Dataset expected = d.subset(*idx);
+    ASSERT_EQ(part->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*part)[i].series, expected[i].series);
+      EXPECT_EQ((*part)[i].label, expected[i].label);
+    }
+  }
 }
 
 TEST(Specs, TwelveDatasetsWithPaperShapes) {

@@ -6,6 +6,7 @@
 #include "dfr/metrics.hpp"
 #include "dfr/output.hpp"
 #include "dfr/ridge.hpp"
+#include "linalg/cholesky.hpp"
 #include "util/rng.hpp"
 
 namespace dfr {
@@ -145,6 +146,136 @@ TEST(Ridge, SweepPicksSmallestSelectionLoss) {
     EXPECT_GE(c.selection_loss, sweep.best().selection_loss);
   }
   EXPECT_EQ(sweep.best().beta, sweep.candidates[sweep.best_index].beta);
+}
+
+// ---- select_ridge: bit-identical to the per-split composition ---------------
+
+FeatureMatrix gather(const FeatureMatrix& fm, const std::vector<std::size_t>& rows) {
+  FeatureMatrix out;
+  out.features.resize(rows.size(), fm.features.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out.features.set_row(i, fm.features.row(rows[i]));
+    out.labels.push_back(fm.labels[rows[i]]);
+  }
+  return out;
+}
+
+void expect_same_layer(const OutputLayer& a, const OutputLayer& b) {
+  EXPECT_EQ(a.weights(), b.weights());
+  EXPECT_EQ(a.bias(), b.bias());
+}
+
+/// select_ridge against sweep_ridge on the gathered fit/validation rows
+/// followed by fit_ridge on every row: every value must be the same bits.
+void expect_selection_matches_composition(const FeatureMatrix& all, int classes,
+                                          const std::vector<std::size_t>& fit,
+                                          const std::vector<std::size_t>& val) {
+  const RidgeSelection selection = select_ridge(all, fit, val, classes);
+  const RidgeSweep reference =
+      sweep_ridge(gather(all, fit), gather(all, val), classes);
+  ASSERT_EQ(selection.sweep.candidates.size(), reference.candidates.size());
+  EXPECT_EQ(selection.sweep.best_index, reference.best_index);
+  for (std::size_t i = 0; i < reference.candidates.size(); ++i) {
+    const RidgeCandidate& got = selection.sweep.candidates[i];
+    const RidgeCandidate& want = reference.candidates[i];
+    EXPECT_EQ(got.beta, want.beta);
+    EXPECT_EQ(got.selection_loss, want.selection_loss);
+    expect_same_layer(got.layer, want.layer);
+  }
+  ASSERT_TRUE(selection.readout.has_value());
+  expect_same_layer(*selection.readout,
+                    fit_ridge(all, classes, reference.best().beta));
+}
+
+/// The readout solved from scratch for one beta, as the normal equations
+/// read: primal (R_aug^T R_aug + beta I) X = R_aug^T D, or dual
+/// (R_aug R_aug^T + beta I) alpha = D with X = R_aug^T alpha.
+OutputLayer solve_from_scratch(const FeatureMatrix& fm, int classes, double beta) {
+  const std::size_t n = fm.features.rows(), p = fm.features.cols();
+  Matrix r_aug(n, p + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = fm.features.row(i);
+    std::copy(row.begin(), row.end(), r_aug.row(i).begin());
+    r_aug(i, p) = 1.0;
+  }
+  const Matrix d = one_hot(fm.labels, classes);
+  Matrix x_aug;
+  if (n < p + 1) {
+    Matrix kernel = matmul_a_bt(r_aug, r_aug);
+    for (std::size_t i = 0; i < n; ++i) kernel(i, i) += beta;
+    x_aug = matmul_at_b(r_aug, cholesky_solve_matrix(kernel, d));
+  } else {
+    x_aug = cholesky_solve_matrix(gram_at_a(r_aug, beta), matmul_at_b(r_aug, d));
+  }
+  Matrix w(static_cast<std::size_t>(classes), p);
+  Vector b(static_cast<std::size_t>(classes));
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    for (std::size_t f = 0; f < p; ++f) w(c, f) = x_aug(f, c);
+    b[c] = x_aug(p, c);
+  }
+  return OutputLayer(std::move(w), std::move(b));
+}
+
+TEST(Ridge, SharedSystemMatchesFromScratchSolves) {
+  // One beta-free system per sweep, shifted per beta, must give the same
+  // bits as building each beta's system from scratch, in both regimes.
+  const FeatureMatrix dual = make_separable(8, 3, 40, 0.4, 47);
+  const FeatureMatrix primal = make_separable(30, 3, 8, 0.5, 53);
+  for (const FeatureMatrix* fm : {&dual, &primal}) {
+    const RidgeSweep sweep = sweep_ridge(*fm, *fm, 3);
+    for (const RidgeCandidate& c : sweep.candidates) {
+      const OutputLayer want = solve_from_scratch(*fm, 3, c.beta);
+      expect_same_layer(c.layer, want);
+      expect_same_layer(fit_ridge(*fm, 3, c.beta), want);
+    }
+  }
+}
+
+/// Every `stride`-th row (from `offset`) validates; the rest fit.
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>> strided_split(
+    std::size_t n, std::size_t stride, std::size_t offset) {
+  std::vector<std::size_t> fit, val;
+  for (std::size_t i = 0; i < n; ++i) {
+    (i % stride == offset ? val : fit).push_back(i);
+  }
+  return {fit, val};
+}
+
+TEST(Ridge, SelectionMatchesCompositionDual) {
+  // 24 rows < 41 columns: both the fit split and all rows solve in the dual,
+  // so the fit kernel is read as a sub-block of the all-rows kernel.
+  const FeatureMatrix all = make_separable(8, 3, 40, 0.4, 31);
+  const auto [fit, val] = strided_split(all.labels.size(), 5, 2);
+  expect_selection_matches_composition(all, 3, fit, val);
+}
+
+TEST(Ridge, SelectionMatchesCompositionPrimal) {
+  // 90 rows, 72 of them fit rows, against 9 columns: both primal.
+  const FeatureMatrix all = make_separable(30, 3, 8, 0.5, 37);
+  const auto [fit, val] = strided_split(all.labels.size(), 5, 0);
+  expect_selection_matches_composition(all, 3, fit, val);
+}
+
+TEST(Ridge, SelectionMatchesCompositionMixed) {
+  // 24 rows against 21 columns solve in the primal, while the 16 fit rows
+  // solve in the dual.
+  const FeatureMatrix all = make_separable(8, 3, 20, 0.4, 41);
+  const auto [fit, val] = strided_split(all.labels.size(), 3, 1);
+  ASSERT_LT(fit.size(), 21u);
+  ASSERT_GE(all.labels.size(), 21u);
+  expect_selection_matches_composition(all, 3, fit, val);
+}
+
+TEST(Ridge, SelectionReportsUnsolvableRefitAsEmpty) {
+  // One validation row whose kernel entry overflows: every sweep system
+  // (fit rows only) solves, the all-rows system does not.
+  FeatureMatrix all = make_separable(6, 2, 12, 0.3, 43);
+  for (double& v : all.features.row(3)) v = 1e200;
+  const auto [fit, val] = strided_split(all.labels.size(), 4, 3);
+  const RidgeSelection selection = select_ridge(all, fit, val, 2);
+  EXPECT_EQ(selection.sweep.candidates.size(), paper_beta_grid().size());
+  EXPECT_FALSE(selection.readout.has_value());
+  EXPECT_THROW((void)fit_ridge(all, 2, selection.sweep.best().beta), CheckError);
 }
 
 TEST(Ridge, RejectsNonPositiveBeta) {

@@ -2,12 +2,16 @@
 // the grid-search baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "data/preprocess.hpp"
 #include "data/synth.hpp"
+#include "dfr/features.hpp"
 #include "dfr/grid_search.hpp"
 #include "dfr/trainer.hpp"
+#include "util/rng.hpp"
 
 namespace dfr {
 namespace {
@@ -169,6 +173,39 @@ TEST(Trainer, PredictReturnsLabelsForEverySample) {
   }
 }
 
+TEST(Trainer, RidgePhaseMatchesPerSplitComposition) {
+  // Phase 2 picks its fit and validation rows out of one pass over the
+  // training set; the result must be the same bits as running the reservoir
+  // over each split, sweep_ridge on those, then fit_ridge on every sample.
+  const DatasetPair pair = easy_task(35);
+  const TrainerConfig config = small_config();
+  const TrainResult model = Trainer(config).fit(pair.train);
+
+  // Replay the trainer's rng: the mask draw, one shuffle per epoch, the fork.
+  Rng rng(config.seed);
+  const Mask mask(config.nodes, pair.train.channels(), config.mask_kind, rng);
+  ASSERT_EQ(mask.weights(), model.mask.weights());
+  std::vector<std::size_t> order(pair.train.size());
+  for (int epoch = 0; epoch < config.epochs; ++epoch) rng.shuffle(order);
+  Rng split_rng = rng.fork(0x5B1D);
+  const auto [fit_split, val_split] =
+      pair.train.stratified_split(1.0 - config.validation_fraction, split_rng);
+
+  const ModularReservoir reservoir(config.nodes, model.nonlinearity);
+  auto features = [&](const Dataset& d) {
+    return compute_features(reservoir, model.params, model.mask, d,
+                            RepresentationKind::kDprr);
+  };
+  const RidgeSweep sweep = sweep_ridge(features(fit_split), features(val_split),
+                                       pair.train.num_classes(), config.betas);
+  EXPECT_EQ(model.chosen_beta, sweep.best().beta);
+  EXPECT_EQ(model.validation_loss, sweep.best().selection_loss);
+  const OutputLayer readout = fit_ridge(features(pair.train),
+                                        pair.train.num_classes(), sweep.best().beta);
+  EXPECT_EQ(model.readout.weights(), readout.weights());
+  EXPECT_EQ(model.readout.bias(), readout.bias());
+}
+
 TEST(Trainer, RejectsEmptyDataset) {
   Dataset empty("e", 2, 4, 1);
   EXPECT_THROW((void)Trainer(small_config()).fit(empty), CheckError);
@@ -220,6 +257,117 @@ TEST(GridSearch, ParallelMatchesSerial) {
     EXPECT_DOUBLE_EQ(a.candidates[i].validation_loss, b.candidates[i].validation_loss);
   }
   EXPECT_EQ(a.best_index, b.best_index);
+}
+
+/// One grid candidate as separate passes: features of the fit, validation,
+/// train and test splits, sweep_ridge, then fit_ridge with the winner.
+GridCandidate reference_candidate(const GridSearchConfig& config,
+                                  const ModularReservoir& reservoir,
+                                  const Mask& mask, const Dataset& fit_split,
+                                  const Dataset& val_split,
+                                  const DatasetPair& pair, double a, double b) {
+  GridCandidate out;
+  out.a = a;
+  out.b = b;
+  out.validation_loss = std::numeric_limits<double>::infinity();
+  auto features = [&](const Dataset& d) {
+    return compute_features(reservoir, DfrParams{a, b}, mask, d,
+                            RepresentationKind::kDprr);
+  };
+  auto usable = [](const FeatureMatrix& fm) {
+    return fm.features.all_finite() && fm.features.max_abs() < 1e120;
+  };
+  const FeatureMatrix fit_f = features(fit_split);
+  const FeatureMatrix val_f = features(val_split);
+  if (!usable(fit_f) || !usable(val_f)) return out;
+  try {
+    const RidgeSweep sweep =
+        sweep_ridge(fit_f, val_f, pair.train.num_classes(), config.betas);
+    out.beta = sweep.best().beta;
+    const FeatureMatrix train_f = features(pair.train);
+    const FeatureMatrix test_f = features(pair.test);
+    if (!usable(train_f) || !usable(test_f)) return out;
+    const OutputLayer layer =
+        fit_ridge(train_f, pair.train.num_classes(), out.beta);
+    out.validation_loss = sweep.best().selection_loss;
+    out.test_accuracy = evaluate_accuracy(layer, test_f);
+    out.valid = true;
+  } catch (const CheckError&) {
+  }
+  return out;
+}
+
+GridLevelResult expect_level_matches_composition(const GridSearchConfig& config,
+                                                 const DatasetPair& pair,
+                                                 std::size_t divs) {
+  GridLevelResult level = run_grid_level(config, pair.train, pair.test, divs);
+
+  // The level's fixed mask and validation split (same seed protocol).
+  Rng rng(config.seed);
+  const ModularReservoir reservoir(config.nodes,
+                                   Nonlinearity(config.nonlinearity, config.mg_exponent));
+  const Mask mask(config.nodes, pair.train.channels(), config.mask_kind, rng);
+  Rng split_rng = rng.fork(0x5B1D);
+  const auto [fit_split, val_split] =
+      pair.train.stratified_split(1.0 - config.validation_fraction, split_rng);
+
+  const auto log_a = grid_points(config.log10_a_min, config.log10_a_max, divs);
+  const auto log_b = grid_points(config.log10_b_min, config.log10_b_max, divs);
+  EXPECT_EQ(level.candidates.size(), divs * divs);
+  for (std::size_t idx = 0; idx < std::min(level.candidates.size(), divs * divs);
+       ++idx) {
+    const GridCandidate want = reference_candidate(
+        config, reservoir, mask, fit_split, val_split, pair,
+        std::pow(10.0, log_a[idx / divs]), std::pow(10.0, log_b[idx % divs]));
+    const GridCandidate& got = level.candidates[idx];
+    EXPECT_EQ(got.a, want.a) << idx;
+    EXPECT_EQ(got.b, want.b) << idx;
+    EXPECT_EQ(got.beta, want.beta) << idx;
+    EXPECT_EQ(got.validation_loss, want.validation_loss) << idx;
+    EXPECT_EQ(got.test_accuracy, want.test_accuracy) << idx;
+    EXPECT_EQ(got.valid, want.valid) << idx;
+  }
+  return level;
+}
+
+TEST(GridSearch, LevelMatchesPerSplitComposition) {
+  GridSearchConfig config = small_grid_config();
+  config.threads = 4;
+  const GridLevelResult level =
+      expect_level_matches_composition(config, easy_task(37), 3);
+  EXPECT_TRUE(level.best().valid);
+}
+
+TEST(GridSearch, LevelMatchesPerSplitCompositionWithDivergentCandidates) {
+  // The cubic nonlinearity diverges at the large-(A, B) end of the box, so
+  // the level mixes valid and invalid candidates.
+  GridSearchConfig config = small_grid_config();
+  config.nonlinearity = NonlinearityKind::kCubic;
+  config.log10_a_max = 0.75;
+  config.log10_b_max = 0.25;
+  const GridLevelResult level =
+      expect_level_matches_composition(config, easy_task(39), 3);
+  const auto valid = std::count_if(level.candidates.begin(), level.candidates.end(),
+                                   [](const GridCandidate& c) { return c.valid; });
+  EXPECT_GT(valid, 0);
+  EXPECT_LT(valid, static_cast<std::ptrdiff_t>(level.candidates.size()));
+}
+
+TEST(GridSearch, LevelMatchesPerSplitCompositionWithUnusableTestFeatures) {
+  // One test series far outside the training scale overflows every
+  // candidate's test features: the beta sweep succeeds, the candidate is
+  // still invalid, and it keeps the beta its sweep chose.
+  DatasetPair pair = easy_task(41);
+  Matrix& series = pair.test[0].series;
+  for (std::size_t t = 0; t < series.rows(); ++t) {
+    for (double& v : series.row(t)) v *= 1e100;
+  }
+  const GridLevelResult level =
+      expect_level_matches_composition(small_grid_config(), pair, 2);
+  for (const GridCandidate& c : level.candidates) {
+    EXPECT_FALSE(c.valid);
+    EXPECT_GT(c.beta, 0.0);
+  }
 }
 
 TEST(GridSearch, EscalationStopsWhenTargetReached) {
