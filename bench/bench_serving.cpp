@@ -352,33 +352,40 @@ int main(int argc, char** argv) {
       StreamResult stream;
       std::function<std::vector<int>(unsigned)> run_batch;
     };
+    // The scalar reference rows fan make_engine out over the pool the way
+    // classify_batch fans out the SIMD engines.
+    const ModelArtifactPtr artifact = model.artifact();
+    const auto reference_batch = [&batch](const auto& make) {
+      return [&batch, make](unsigned threads) {
+        std::vector<int> out(batch.size());
+        for_each_with_engine(batch.size(), threads, make,
+                             [&](auto& engine, std::size_t i) {
+                               out[i] = engine.classify(batch[i]);
+                             });
+        return out;
+      };
+    };
     std::vector<Datapath> datapaths;
     datapaths.push_back(
         {"float", run_single_stream(make_engine(model), batch, repeats),
-         [&](unsigned threads) {
-           return classify_batch(model, std::span<const Matrix>(batch), threads,
-                                 FloatEngineKind::kScalar);
-         }});
+         reference_batch([&] { return make_engine(artifact); })});
     datapaths.push_back(
         {"simd-" + std::string(simd::backend_name(simd::active_backend())),
          run_single_stream(make_simd_engine(model), batch, repeats),
          [&](unsigned threads) {
-           return classify_batch(model, std::span<const Matrix>(batch), threads,
-                                 FloatEngineKind::kSimd);
+           return classify_batch(artifact, std::span<const Matrix>(batch),
+                                 threads);
          }});
     datapaths.push_back(
         {"quant-scalar",
          run_single_stream(make_engine(quantized), batch, repeats),
-         [&](unsigned threads) {
-           return classify_batch(quantized, std::span<const Matrix>(batch),
-                                 threads, QuantizedEngineKind::kScalar);
-         }});
+         reference_batch([&] { return make_engine(quantized); })});
     datapaths.push_back(
         {"quant-" + std::string(simd::backend_name(simd::active_backend())),
          run_single_stream(make_simd_engine(quantized), batch, repeats),
          [&](unsigned threads) {
            return classify_batch(quantized, std::span<const Matrix>(batch),
-                                 threads, QuantizedEngineKind::kSimd);
+                                 threads);
          }});
 
     for (const Datapath& dp : datapaths) {
@@ -479,12 +486,12 @@ int main(int argc, char** argv) {
             std::make_shared<const QuantizedDfr>(std::move(served_quant))));
       }
       struct TrafficKind {
-        const char* suffix;  // "" = float kAuto, "-quant" = quantized kAuto
+        const char* suffix;  // "" = float, "-quant" = quantized
         serve::RequestOptions options;
       };
       const TrafficKind traffic_kinds[] = {
           {"", serve::RequestOptions{}},
-          {"-quant", serve::RequestOptions{QuantizedEngineKind::kAuto}},
+          {"-quant", serve::RequestOptions{serve::EngineVariant::kQuantized}},
       };
       for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         const std::string marker = skip_marker(static_cast<unsigned>(workers));

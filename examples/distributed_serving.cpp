@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < requests / 2; ++i) {
     const Matrix series = serve::make_synth_series(48, 2, seed + 500 + i);
     serve::RequestOptions options;
-    if (i % 3 == 2) options.engine = QuantizedEngineKind::kAuto;
+    if (i % 3 == 2) options.engine = serve::EngineVariant::kQuantized;
     const serve::wire::WireResponse response =
         router.infer("m" + std::to_string(i % 2), series, options);
     if (response.status == serve::wire::WireStatus::kOk) ++ok;

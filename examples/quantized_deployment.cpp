@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
   // 5. Sustained serving: a streaming engine reuses its scratch across calls
   // (zero steady-state allocations), and classify_batch fans a whole batch
   // over the thread pool with deterministic output order. make_simd_engine
-  // and classify_batch's default FloatEngineKind::kAuto both run the SIMD
-  // datapath on the best runtime-dispatched backend (DFR_SIMD overrides), so
-  // the per-series loop and the batch agree exactly.
+  // and classify_batch both run the SIMD datapath on the active backend
+  // (the best one the CPU supports unless DFR_SIMD overrides it), so the
+  // per-series loop and the batch agree exactly.
   SimdInferenceEngine engine = make_simd_engine(loaded);
   std::size_t agree = 0;
   for (const Sample& s : data.test.samples()) {
@@ -91,8 +91,9 @@ int main(int argc, char** argv) {
 
   // 6. Quantized serving on the SIMD datapath. Unlike the float family's
   // ULP contract, the quantized SIMD kernels are bit-identical to the
-  // scalar fixed-point pipeline on every backend, so QuantizedEngineKind
-  // is purely a latency knob — verify the contract on the whole split.
+  // scalar fixed-point pipeline (make_engine, the reference) on every
+  // backend, so the backend changes latency only — verify the contract on
+  // the whole split.
   QuantizedDfr qdfr(loaded, QuantizedInferenceConfig{});
   qdfr.calibrate(data.train);
   SimdQuantizedInferenceEngine quant_engine = make_simd_engine(qdfr);

@@ -251,28 +251,23 @@ LoadedModel load_model(const std::string& path) {
                      std::move(model.readout), model.chosen_beta};
 }
 
-Vector LoadedModel::infer(const Matrix& series, FloatEngineKind engine) const {
+Vector LoadedModel::infer(const Matrix& series) const {
   // Borrow *this through the features-only datapath (it outlives this call
   // by construction) rather than snapshotting an artifact: the convenience
   // path must not deep-copy the mask and readout per inference. The readout
   // applied here is the same logits_into arithmetic the full engines run.
-  if (engine == FloatEngineKind::kScalar) {
-    InferenceEngine scalar_engine(FloatDatapath(mask, params, nonlinearity));
-    return readout.logits(scalar_engine.features(series));
-  }
-  SimdInferenceEngine simd_engine(
+  SimdInferenceEngine engine(
       SimdFloatDatapath(mask, params, nonlinearity, simd::active_backend()));
-  return readout.logits(simd_engine.features(series));
+  return readout.logits(engine.features(series));
 }
 
-int LoadedModel::classify(const Matrix& series, FloatEngineKind engine) const {
-  const Vector z = infer(series, engine);
+int LoadedModel::classify(const Matrix& series) const {
+  const Vector z = infer(series);
   return static_cast<int>(std::max_element(z.begin(), z.end()) - z.begin());
 }
 
-Vector LoadedModel::probabilities(const Matrix& series,
-                                  FloatEngineKind engine) const {
-  return softmax(infer(series, engine));
+Vector LoadedModel::probabilities(const Matrix& series) const {
+  return softmax(infer(series));
 }
 
 }  // namespace dfr

@@ -41,26 +41,6 @@ class QuantizedDfr;  // fixedpoint/quantized_dfr.hpp (includes this header)
 void save_model(const TrainResult& model, const std::string& path,
                 std::uint32_t format_version = 2);
 
-/// Which float engine executes infer()/classify_batch():
-///   kAuto   — the SIMD datapath on the best runtime-dispatched backend
-///             (AVX-512 / AVX2 / NEON / portable scalar; honors DFR_SIMD).
-///             The default.
-///   kScalar — the portable FloatDatapath (the bit-exact scalar baseline).
-///   kSimd   — the SIMD datapath, explicitly (same as kAuto today).
-/// Results agree within the ULP contract of serve/simd_kernels.hpp.
-enum class FloatEngineKind { kAuto, kScalar, kSimd };
-
-/// Which quantized engine executes QuantizedDfr::classify/features and the
-/// quantized classify_batch — the fixed-point mirror of FloatEngineKind:
-///   kAuto   — the SIMD quantized datapath on the best runtime-dispatched
-///             backend. The default: unlike the float ULP contract, the
-///             quantized SIMD kernels are bit-identical to the scalar
-///             fixed-point pipeline (see serve/simd_kernels.hpp), so kAuto
-///             changes latency, never results.
-///   kScalar — the portable QuantizedDatapath.
-///   kSimd   — the SIMD quantized datapath, explicitly (same as kAuto).
-enum class QuantizedEngineKind { kAuto, kScalar, kSimd };
-
 /// Immutable deployed-model bundle; see the ownership model above. Only
 /// created behind `ModelArtifactPtr` (make_artifact / load_artifact /
 /// LoadedModel::artifact / with_quantized) and never mutated afterwards.
@@ -73,7 +53,7 @@ struct ModelArtifact {
   double chosen_beta = 0.0;
   /// Optional calibrated fixed-point twin for quantized serving (null =
   /// float-only artifact). Attached by with_quantized(); the serving layer
-  /// routes QuantizedEngineKind requests to it.
+  /// routes quantized requests (serve::EngineVariant::kQuantized) to it.
   std::shared_ptr<const QuantizedDfr> quantized;
   /// Keep-alive for zero-copy artifacts: when the mask/readout matrices
   /// borrow pages of an mmap'ed .dfrm v2 file (serve/artifact_store.hpp),
@@ -113,22 +93,20 @@ struct LoadedModel {
   /// mutation of this LoadedModel does not affect the returned artifact.
   [[nodiscard]] ModelArtifactPtr artifact(std::string name = {}) const;
 
-  /// Logits for one series (T x V): ONE reservoir run through the streaming
-  /// engine (serve/engine.hpp). classify() and probabilities() both wrap
-  /// this; callers wanting both should call infer() once and derive argmax /
-  /// softmax themselves. For sustained serving construct an engine
-  /// directly — it reuses its scratch across calls; this convenience path
-  /// allocates fresh scratch per call.
-  [[nodiscard]] Vector infer(const Matrix& series,
-                             FloatEngineKind engine = FloatEngineKind::kAuto) const;
+  /// Logits for one series (T x V): ONE reservoir run through the SIMD
+  /// streaming engine (serve/engine.hpp) on simd::active_backend(), so the
+  /// result is bit-identical to make_simd_engine(model). classify() and
+  /// probabilities() both wrap this; callers wanting both should call
+  /// infer() once and derive argmax / softmax themselves. For sustained
+  /// serving construct an engine directly — it reuses its scratch across
+  /// calls; this convenience path allocates fresh scratch per call.
+  [[nodiscard]] Vector infer(const Matrix& series) const;
 
   /// Classify one series (T x V): argmax of infer().
-  [[nodiscard]] int classify(const Matrix& series,
-                             FloatEngineKind engine = FloatEngineKind::kAuto) const;
+  [[nodiscard]] int classify(const Matrix& series) const;
 
   /// Class probabilities for one series: softmax of infer().
-  [[nodiscard]] Vector probabilities(
-      const Matrix& series, FloatEngineKind engine = FloatEngineKind::kAuto) const;
+  [[nodiscard]] Vector probabilities(const Matrix& series) const;
 };
 
 LoadedModel load_model(const std::string& path);

@@ -37,7 +37,12 @@ class Nonlinearity {
   explicit Nonlinearity(NonlinearityKind kind = NonlinearityKind::kIdentity,
                         double p = 1.0);
 
-  [[nodiscard]] NonlinearityKind kind() const noexcept { return kind_; }
+  // always_inline: the AVX2/AVX-512 kernel objects read this, and an
+  // out-of-line copy there could be the one the linker keeps for every
+  // caller (CI checks those objects define no dfr:: inline code).
+  [[nodiscard, gnu::always_inline]] NonlinearityKind kind() const noexcept {
+    return kind_;
+  }
   [[nodiscard]] double mg_exponent() const noexcept { return p_; }
 
   /// f~(s).

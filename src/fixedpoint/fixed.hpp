@@ -26,10 +26,18 @@ class FixedPointFormat {
     return 1 + int_bits_ + frac_bits_;
   }
 
+  // always_inline on the two getters the AVX2/AVX-512 kernel objects read:
+  // an out-of-line copy there could be the one the linker keeps for every
+  // caller (see Nonlinearity::kind).
+
   /// Representable magnitude bound (saturation threshold).
-  [[nodiscard]] double max_value() const noexcept { return max_value_; }
+  [[nodiscard, gnu::always_inline]] double max_value() const noexcept {
+    return max_value_;
+  }
   /// Quantization step (1 ulp).
-  [[nodiscard]] double resolution() const noexcept { return resolution_; }
+  [[nodiscard, gnu::always_inline]] double resolution() const noexcept {
+    return resolution_;
+  }
 
   /// Round-to-nearest, saturate to the representable range.
   [[nodiscard]] double quantize(double value) const noexcept;

@@ -71,33 +71,21 @@ void QuantizedDfr::calibrate(const Dataset& data, std::size_t max_samples) {
   requantize_readout();
 }
 
-Vector QuantizedDfr::features(const Matrix& series,
-                              QuantizedEngineKind kind) const {
-  if (kind == QuantizedEngineKind::kScalar) {
-    QuantizedInferenceEngine engine = make_engine(*this);
-    const std::span<const double> r = engine.features(series);
-    return Vector(r.begin(), r.end());
-  }
+Vector QuantizedDfr::features(const Matrix& series) const {
   SimdQuantizedInferenceEngine engine = make_simd_engine(*this);
   const std::span<const double> r = engine.features(series);
   return Vector(r.begin(), r.end());
 }
 
-int QuantizedDfr::classify(const Matrix& series,
-                           QuantizedEngineKind kind) const {
-  if (kind == QuantizedEngineKind::kScalar) {
-    QuantizedInferenceEngine engine = make_engine(*this);
-    return engine.classify(series);
-  }
+int QuantizedDfr::classify(const Matrix& series) const {
   SimdQuantizedInferenceEngine engine = make_simd_engine(*this);
   return engine.classify(series);
 }
 
 double quantized_accuracy(const QuantizedDfr& dfr, const Dataset& dataset,
-                          unsigned threads, QuantizedEngineKind engine) {
+                          unsigned threads) {
   DFR_CHECK(!dataset.empty());
-  const std::vector<int> predicted =
-      classify_batch(dfr, dataset, threads, engine);
+  const std::vector<int> predicted = classify_batch(dfr, dataset, threads);
   std::vector<int> actual(dataset.size());
   for (std::size_t i = 0; i < dataset.size(); ++i) actual[i] = dataset[i].label;
   return accuracy(predicted, actual);

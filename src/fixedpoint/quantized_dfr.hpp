@@ -45,19 +45,14 @@ class QuantizedDfr {
   void calibrate(const Dataset& data, std::size_t max_samples = 8);
 
   /// Classify one series with the quantized datapath. Convenience wrapper
-  /// that builds a fresh engine per call; sustained serving should hold an
-  /// engine (serve/engine.hpp) and reuse its scratch. `engine` selects the
-  /// implementation (default kAuto = SIMD best-available); every kind is
-  /// bit-identical — the quantized SIMD contract — so the knob trades
-  /// latency only.
-  [[nodiscard]] int classify(
-      const Matrix& series,
-      QuantizedEngineKind engine = QuantizedEngineKind::kAuto) const;
+  /// that builds a fresh SIMD engine per call on simd::active_backend();
+  /// sustained serving should hold an engine (serve/engine.hpp) and reuse
+  /// its scratch. By the quantized SIMD contract the result is
+  /// bit-identical to the scalar make_engine(*this) on every backend.
+  [[nodiscard]] int classify(const Matrix& series) const;
 
   /// Quantized, prescaled DPRR features for one series (for tests).
-  [[nodiscard]] Vector features(
-      const Matrix& series,
-      QuantizedEngineKind engine = QuantizedEngineKind::kAuto) const;
+  [[nodiscard]] Vector features(const Matrix& series) const;
 
   [[nodiscard]] const QuantizedInferenceConfig& config() const noexcept {
     return config_;
@@ -83,11 +78,9 @@ class QuantizedDfr {
 
 /// Accuracy of the quantized datapath over a dataset. `threads` caps the
 /// pool slots used for the batch (0 = all cores, 1 = serial); results are
-/// bit-identical for any value — and for any `engine` kind (the quantized
+/// bit-identical for any value — and for any SIMD backend (the quantized
 /// SIMD contract).
 double quantized_accuracy(const QuantizedDfr& dfr, const Dataset& dataset,
-                          unsigned threads = 1,
-                          QuantizedEngineKind engine =
-                              QuantizedEngineKind::kAuto);
+                          unsigned threads = 1);
 
 }  // namespace dfr

@@ -108,9 +108,6 @@ SimdFloatDatapath::SimdFloatDatapath(const Mask& mask, const DfrParams& params,
   DFR_CHECK_MSG(mask.nodes() > 0, "reservoir needs at least one virtual node");
 }
 
-SimdFloatDatapath::SimdFloatDatapath(ModelArtifactPtr model)
-    : SimdFloatDatapath(std::move(model), simd::active_backend()) {}
-
 SimdFloatDatapath::SimdFloatDatapath(ModelArtifactPtr model,
                                      simd::Backend backend)
     : artifact_(checked_artifact(std::move(model))),
@@ -122,9 +119,6 @@ SimdFloatDatapath::SimdFloatDatapath(ModelArtifactPtr model,
   DFR_CHECK_MSG(artifact_->mask.nodes() > 0,
                 "reservoir needs at least one virtual node");
 }
-
-SimdFloatDatapath::SimdFloatDatapath(const LoadedModel& model)
-    : SimdFloatDatapath(model.artifact(), simd::active_backend()) {}
 
 SimdFloatDatapath::SimdFloatDatapath(const LoadedModel& model,
                                      simd::Backend backend)
@@ -168,9 +162,6 @@ void SimdFloatDatapath::finalize(Vector& r, std::size_t t_len) const {
 
 // ---- SimdQuantizedDatapath -------------------------------------------------
 
-SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model)
-    : SimdQuantizedDatapath(model, simd::active_backend()) {}
-
 SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model,
                                              simd::Backend backend)
     : mask_(&model.model().mask),
@@ -184,10 +175,6 @@ SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model,
       readout_(&model.quantized_readout()) {
   DFR_CHECK_MSG(mask_->nodes() > 0, "reservoir needs at least one virtual node");
 }
-
-SimdQuantizedDatapath::SimdQuantizedDatapath(
-    std::shared_ptr<const QuantizedDfr> model)
-    : SimdQuantizedDatapath(std::move(model), simd::active_backend()) {}
 
 SimdQuantizedDatapath::SimdQuantizedDatapath(
     std::shared_ptr<const QuantizedDfr> model, simd::Backend backend)
@@ -247,9 +234,6 @@ void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
 
 // ---- BatchedFloatDatapath --------------------------------------------------
 
-BatchedFloatDatapath::BatchedFloatDatapath(ModelArtifactPtr model)
-    : BatchedFloatDatapath(std::move(model), simd::active_backend()) {}
-
 BatchedFloatDatapath::BatchedFloatDatapath(ModelArtifactPtr model,
                                            simd::Backend backend)
     : artifact_(checked_artifact(std::move(model))),
@@ -294,10 +278,6 @@ void BatchedFloatDatapath::finalize(double* r, std::size_t count,
 }
 
 // ---- BatchedQuantizedDatapath ----------------------------------------------
-
-BatchedQuantizedDatapath::BatchedQuantizedDatapath(
-    std::shared_ptr<const QuantizedDfr> model)
-    : BatchedQuantizedDatapath(std::move(model), simd::active_backend()) {}
 
 BatchedQuantizedDatapath::BatchedQuantizedDatapath(
     std::shared_ptr<const QuantizedDfr> model, simd::Backend backend)
@@ -454,22 +434,10 @@ template class BatchedEngine<BatchedFloatDatapath>;
 template class BatchedEngine<BatchedQuantizedDatapath>;
 
 BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
-                                           std::size_t max_lanes) {
-  return BatchedInferenceEngine(BatchedFloatDatapath(std::move(model)),
-                                max_lanes);
-}
-
-BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
                                            std::size_t max_lanes,
                                            simd::Backend backend) {
   return BatchedInferenceEngine(BatchedFloatDatapath(std::move(model), backend),
                                 max_lanes);
-}
-
-BatchedQuantizedInferenceEngine make_batched_engine(
-    std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes) {
-  return BatchedQuantizedInferenceEngine(
-      BatchedQuantizedDatapath(std::move(model)), max_lanes);
 }
 
 BatchedQuantizedInferenceEngine make_batched_engine(
@@ -560,17 +528,9 @@ QuantizedInferenceEngine make_engine(std::shared_ptr<const QuantizedDfr> model) 
   return QuantizedInferenceEngine(QuantizedDatapath(std::move(model)));
 }
 
-SimdInferenceEngine make_simd_engine(const LoadedModel& model) {
-  return SimdInferenceEngine(SimdFloatDatapath(model));
-}
-
 SimdInferenceEngine make_simd_engine(const LoadedModel& model,
                                      simd::Backend backend) {
   return SimdInferenceEngine(SimdFloatDatapath(model, backend));
-}
-
-SimdInferenceEngine make_simd_engine(ModelArtifactPtr model) {
-  return SimdInferenceEngine(SimdFloatDatapath(std::move(model)));
 }
 
 SimdInferenceEngine make_simd_engine(ModelArtifactPtr model,
@@ -578,18 +538,9 @@ SimdInferenceEngine make_simd_engine(ModelArtifactPtr model,
   return SimdInferenceEngine(SimdFloatDatapath(std::move(model), backend));
 }
 
-SimdQuantizedInferenceEngine make_simd_engine(const QuantizedDfr& model) {
-  return SimdQuantizedInferenceEngine(SimdQuantizedDatapath(model));
-}
-
 SimdQuantizedInferenceEngine make_simd_engine(const QuantizedDfr& model,
                                               simd::Backend backend) {
   return SimdQuantizedInferenceEngine(SimdQuantizedDatapath(model, backend));
-}
-
-SimdQuantizedInferenceEngine make_simd_engine(
-    std::shared_ptr<const QuantizedDfr> model) {
-  return SimdQuantizedInferenceEngine(SimdQuantizedDatapath(std::move(model)));
 }
 
 SimdQuantizedInferenceEngine make_simd_engine(
@@ -600,15 +551,20 @@ SimdQuantizedInferenceEngine make_simd_engine(
 
 namespace {
 
-template <typename MakeEngine, typename SeriesAt>
-std::vector<int> classify_batch_impl(std::size_t n, unsigned threads,
-                                     const MakeEngine& make_engine_fn,
+/// The one classify_batch body: `model` is an artifact or a calibrated
+/// QuantizedDfr, and every worker engine is make_simd_engine(model) on the
+/// backend resolved here, once, outside the workers.
+template <typename Model, typename SeriesAt>
+std::vector<int> classify_batch_impl(const Model& model, std::size_t n,
+                                     unsigned threads,
                                      const SeriesAt& series_at) {
+  const simd::Backend backend = simd::active_backend();
   std::vector<int> out(n);
-  for_each_with_engine(n, threads, make_engine_fn,
-                       [&](auto& engine, std::size_t i) {
-                         out[i] = engine.classify(series_at(i));
-                       });
+  for_each_with_engine(
+      n, threads, [&] { return make_simd_engine(model, backend); },
+      [&](auto& engine, std::size_t i) {
+        out[i] = engine.classify(series_at(i));
+      });
   return out;
 }
 
@@ -616,70 +572,43 @@ std::vector<int> classify_batch_impl(std::size_t n, unsigned threads,
 
 std::vector<int> classify_batch(const ModelArtifactPtr& model,
                                 std::span<const Matrix> series,
-                                unsigned threads, FloatEngineKind engine) {
-  if (engine == FloatEngineKind::kScalar) {
-    return classify_batch_impl(
-        series.size(), threads, [&] { return make_engine(model); },
-        [&](std::size_t i) -> const Matrix& { return series[i]; });
-  }
-  // kAuto / kSimd: resolve the dispatched backend once, outside the workers.
-  const simd::Backend backend = simd::active_backend();
+                                unsigned threads) {
   return classify_batch_impl(
-      series.size(), threads, [&] { return make_simd_engine(model, backend); },
+      model, series.size(), threads,
       [&](std::size_t i) -> const Matrix& { return series[i]; });
 }
 
 std::vector<int> classify_batch(const LoadedModel& model,
                                 std::span<const Matrix> series,
-                                unsigned threads, FloatEngineKind engine) {
+                                unsigned threads) {
   // Snapshot once; every worker engine shares the one immutable artifact.
-  return classify_batch(model.artifact(), series, threads, engine);
+  return classify_batch(model.artifact(), series, threads);
 }
 
 std::vector<int> classify_batch(const QuantizedDfr& model,
                                 std::span<const Matrix> series,
-                                unsigned threads, QuantizedEngineKind engine) {
-  if (engine == QuantizedEngineKind::kScalar) {
-    return classify_batch_impl(
-        series.size(), threads, [&] { return make_engine(model); },
-        [&](std::size_t i) -> const Matrix& { return series[i]; });
-  }
-  // kAuto / kSimd: resolve the dispatched backend once, outside the workers.
-  const simd::Backend backend = simd::active_backend();
+                                unsigned threads) {
   return classify_batch_impl(
-      series.size(), threads, [&] { return make_simd_engine(model, backend); },
+      model, series.size(), threads,
       [&](std::size_t i) -> const Matrix& { return series[i]; });
 }
 
 std::vector<int> classify_batch(const ModelArtifactPtr& model,
-                                const Dataset& data, unsigned threads,
-                                FloatEngineKind engine) {
-  if (engine == FloatEngineKind::kScalar) {
-    return classify_batch_impl(
-        data.size(), threads, [&] { return make_engine(model); },
-        [&](std::size_t i) -> const Matrix& { return data[i].series; });
-  }
-  const simd::Backend backend = simd::active_backend();
+                                const Dataset& data, unsigned threads) {
   return classify_batch_impl(
-      data.size(), threads, [&] { return make_simd_engine(model, backend); },
+      model, data.size(), threads,
       [&](std::size_t i) -> const Matrix& { return data[i].series; });
 }
 
 std::vector<int> classify_batch(const LoadedModel& model, const Dataset& data,
-                                unsigned threads, FloatEngineKind engine) {
-  return classify_batch(model.artifact(), data, threads, engine);
+                                unsigned threads) {
+  return classify_batch(model.artifact(), data, threads);
 }
 
 std::vector<int> classify_batch(const QuantizedDfr& model, const Dataset& data,
-                                unsigned threads, QuantizedEngineKind engine) {
-  if (engine == QuantizedEngineKind::kScalar) {
-    return classify_batch_impl(
-        data.size(), threads, [&] { return make_engine(model); },
-        [&](std::size_t i) -> const Matrix& { return data[i].series; });
-  }
-  const simd::Backend backend = simd::active_backend();
+                                unsigned threads) {
   return classify_batch_impl(
-      data.size(), threads, [&] { return make_simd_engine(model, backend); },
+      model, data.size(), threads,
       [&](std::size_t i) -> const Matrix& { return data[i].series; });
 }
 

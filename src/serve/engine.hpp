@@ -158,21 +158,17 @@ class SimdFloatDatapath {
   SimdFloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f,
                     simd::Backend backend);
 
-  /// Full inference pipeline sharing ownership of `model`, on the active
-  /// backend (simd::active_backend(), i.e. best available unless DFR_SIMD /
-  /// force_backend overrode it).
-  explicit SimdFloatDatapath(ModelArtifactPtr model);
+  /// Full inference pipeline sharing ownership of `model`. The default
+  /// backend is simd::active_backend(), i.e. best available unless DFR_SIMD
+  /// / force_backend overrode it; an explicit one follows kernels_for
+  /// semantics (throws CheckError when unavailable).
+  explicit SimdFloatDatapath(ModelArtifactPtr model,
+                             simd::Backend backend = simd::active_backend());
 
-  /// Full inference pipeline sharing ownership of `model`, on an explicit
-  /// backend.
-  SimdFloatDatapath(ModelArtifactPtr model, simd::Backend backend);
-
-  /// Full inference pipeline on the active backend (snapshots `model` into
-  /// an owned artifact).
-  explicit SimdFloatDatapath(const LoadedModel& model);
-
-  /// Full inference pipeline on an explicit backend (snapshots `model`).
-  SimdFloatDatapath(const LoadedModel& model, simd::Backend backend);
+  /// Full inference pipeline over a loaded model (snapshots `model` into an
+  /// owned artifact).
+  explicit SimdFloatDatapath(const LoadedModel& model,
+                             simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -212,19 +208,17 @@ class SimdFloatDatapath {
 /// QuantizedDfr must outlive the datapath.
 class SimdQuantizedDatapath {
  public:
-  /// Borrows `model`, on the active backend (simd::active_backend()).
-  explicit SimdQuantizedDatapath(const QuantizedDfr& model);
+  /// Borrows `model`. The default backend is simd::active_backend(); an
+  /// explicit one follows kernels_for semantics (throws CheckError when
+  /// unavailable).
+  explicit SimdQuantizedDatapath(
+      const QuantizedDfr& model,
+      simd::Backend backend = simd::active_backend());
 
-  /// Borrows `model`, on an explicit backend (kernels_for semantics: throws
-  /// CheckError when unavailable).
-  SimdQuantizedDatapath(const QuantizedDfr& model, simd::Backend backend);
-
-  /// Shares ownership of `model`, on the active backend.
-  explicit SimdQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model);
-
-  /// Shares ownership of `model`, on an explicit backend.
-  SimdQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model,
-                        simd::Backend backend);
+  /// Shares ownership of `model`.
+  explicit SimdQuantizedDatapath(
+      std::shared_ptr<const QuantizedDfr> model,
+      simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -265,11 +259,10 @@ class SimdQuantizedDatapath {
 /// ownership of the artifact.
 class BatchedFloatDatapath {
  public:
-  /// Active backend (simd::active_backend()).
-  explicit BatchedFloatDatapath(ModelArtifactPtr model);
-
-  /// Explicit backend (kernels_for semantics: throws when unavailable).
-  BatchedFloatDatapath(ModelArtifactPtr model, simd::Backend backend);
+  /// An explicit backend follows kernels_for semantics (throws when
+  /// unavailable).
+  explicit BatchedFloatDatapath(
+      ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -316,12 +309,11 @@ class BatchedFloatDatapath {
 /// of the calibrated model.
 class BatchedQuantizedDatapath {
  public:
-  /// Active backend (simd::active_backend()).
-  explicit BatchedQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model);
-
-  /// Explicit backend (kernels_for semantics: throws when unavailable).
-  BatchedQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model,
-                           simd::Backend backend);
+  /// An explicit backend follows kernels_for semantics (throws when
+  /// unavailable).
+  explicit BatchedQuantizedDatapath(
+      std::shared_ptr<const QuantizedDfr> model,
+      simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -407,20 +399,16 @@ extern template class BatchedEngine<BatchedFloatDatapath>;
 extern template class BatchedEngine<BatchedQuantizedDatapath>;
 
 /// Batched float engine sharing ownership of an immutable artifact, on the
-/// active backend (or an explicit one).
-[[nodiscard]] BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
-                                                         std::size_t max_lanes);
-[[nodiscard]] BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
-                                                         std::size_t max_lanes,
-                                                         simd::Backend backend);
+/// active backend (or an explicit one; throws CheckError when unavailable).
+[[nodiscard]] BatchedInferenceEngine make_batched_engine(
+    ModelArtifactPtr model, std::size_t max_lanes,
+    simd::Backend backend = simd::active_backend());
 
 /// Batched quantized engine sharing ownership of a calibrated model.
 /// Bit-identical per-lane results to the scalar QuantizedDatapath.
 [[nodiscard]] BatchedQuantizedInferenceEngine make_batched_engine(
-    std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes);
-[[nodiscard]] BatchedQuantizedInferenceEngine make_batched_engine(
     std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes,
-    simd::Backend backend);
+    simd::Backend backend = simd::active_backend());
 
 /// The streaming engine: owns all scratch, classifies with zero steady-state
 /// heap allocations. One engine per stream/worker; not thread-safe.
@@ -479,35 +467,26 @@ extern template class BasicEngine<SimdQuantizedDatapath>;
 [[nodiscard]] QuantizedInferenceEngine make_engine(
     std::shared_ptr<const QuantizedDfr> model);
 
-/// SIMD engine over a loaded float model, on the active backend (snapshots
-/// the model into an owned artifact).
-[[nodiscard]] SimdInferenceEngine make_simd_engine(const LoadedModel& model);
+/// SIMD engine over a loaded float model (snapshots the model into an owned
+/// artifact). Every make_simd_engine runs on the active backend by default;
+/// an explicit backend throws CheckError when unavailable.
+[[nodiscard]] SimdInferenceEngine make_simd_engine(
+    const LoadedModel& model, simd::Backend backend = simd::active_backend());
 
-/// SIMD engine on an explicit backend (throws CheckError when unavailable).
-[[nodiscard]] SimdInferenceEngine make_simd_engine(const LoadedModel& model,
-                                                   simd::Backend backend);
+/// SIMD engine sharing ownership of an immutable artifact.
+[[nodiscard]] SimdInferenceEngine make_simd_engine(
+    ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
 
-/// SIMD engines sharing ownership of an immutable artifact.
-[[nodiscard]] SimdInferenceEngine make_simd_engine(ModelArtifactPtr model);
-[[nodiscard]] SimdInferenceEngine make_simd_engine(ModelArtifactPtr model,
-                                                   simd::Backend backend);
-
-/// SIMD quantized engine over a calibrated model, on the active backend
-/// (model must outlive the engine). Bit-identical results to
-/// make_engine(model) — the quantized SIMD contract.
+/// SIMD quantized engine over a calibrated model (model must outlive the
+/// engine). Bit-identical results to make_engine(model) — the quantized
+/// SIMD contract.
 [[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    const QuantizedDfr& model);
+    const QuantizedDfr& model, simd::Backend backend = simd::active_backend());
 
-/// SIMD quantized engine on an explicit backend (throws CheckError when
-/// unavailable).
+/// SIMD quantized engine sharing ownership of a calibrated model.
 [[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    const QuantizedDfr& model, simd::Backend backend);
-
-/// SIMD quantized engines sharing ownership of a calibrated model.
-[[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    std::shared_ptr<const QuantizedDfr> model);
-[[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    std::shared_ptr<const QuantizedDfr> model, simd::Backend backend);
+    std::shared_ptr<const QuantizedDfr> model,
+    simd::Backend backend = simd::active_backend());
 
 /// Chunked per-worker-engine fan-out shared by classify_batch and the batch
 /// feature extractor: runs body(engine, i) once for every i in [0, n), with
@@ -533,37 +512,30 @@ void for_each_with_engine(std::size_t n, unsigned threads,
       {.threads = threads});
 }
 
-/// Classify a batch of series. Workers each own one engine and a contiguous
+/// Classify a batch of series on the SIMD engines of simd::active_backend()
+/// (resolved once per call). Workers each own one engine and a contiguous
 /// chunk; out[i] depends only on series[i], so the result is bit-identical
-/// and identically ordered for any `threads` value (0 = all cores,
-/// 1 = serial — the util/parallel.hpp convention). `engine` selects the
-/// float datapath (default: best available, see FloatEngineKind). The
-/// artifact overload shares one immutable model across all worker engines;
-/// the LoadedModel overloads snapshot the model once per call.
+/// to make_simd_engine(model).classify(series[i]) and identically ordered
+/// for any `threads` value (0 = all cores, 1 = serial — the
+/// util/parallel.hpp convention). The artifact overload shares one
+/// immutable model across all worker engines; the LoadedModel overloads
+/// snapshot the model once per call.
 std::vector<int> classify_batch(const ModelArtifactPtr& model,
                                 std::span<const Matrix> series,
-                                unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                unsigned threads = 0);
 std::vector<int> classify_batch(const LoadedModel& model,
                                 std::span<const Matrix> series,
-                                unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                unsigned threads = 0);
 std::vector<int> classify_batch(const QuantizedDfr& model,
                                 std::span<const Matrix> series,
-                                unsigned threads = 0,
-                                QuantizedEngineKind engine =
-                                    QuantizedEngineKind::kAuto);
+                                unsigned threads = 0);
 
 /// Dataset convenience overloads (classify every sample's series).
 std::vector<int> classify_batch(const ModelArtifactPtr& model,
-                                const Dataset& data, unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                const Dataset& data, unsigned threads = 0);
 std::vector<int> classify_batch(const LoadedModel& model, const Dataset& data,
-                                unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                unsigned threads = 0);
 std::vector<int> classify_batch(const QuantizedDfr& model, const Dataset& data,
-                                unsigned threads = 0,
-                                QuantizedEngineKind engine =
-                                    QuantizedEngineKind::kAuto);
+                                unsigned threads = 0);
 
 }  // namespace dfr

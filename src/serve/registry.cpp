@@ -87,38 +87,28 @@ std::size_t ModelRegistry::size() const {
 
 // ---- PooledEngine ----------------------------------------------------------
 
+const std::shared_ptr<const QuantizedDfr>& quantized_twin(
+    const ModelArtifactPtr& artifact) {
+  DFR_CHECK_MSG(artifact != nullptr, "null model artifact");
+  DFR_CHECK_MSG(artifact->quantized != nullptr,
+                "artifact '" + artifact->name +
+                    "' has no quantized twin (attach one with "
+                    "with_quantized before quantized serving)");
+  return artifact->quantized;
+}
+
 namespace {
 
 using EngineStorage =
-    std::variant<InferenceEngine, SimdInferenceEngine, QuantizedInferenceEngine,
-                 SimdQuantizedInferenceEngine>;
+    std::variant<SimdInferenceEngine, SimdQuantizedInferenceEngine>;
 
 EngineStorage build_engine(ModelArtifactPtr artifact, EngineVariant variant) {
-  switch (variant) {
-    case EngineVariant::kFloatScalar:
-      return EngineStorage(std::in_place_type<InferenceEngine>,
-                           FloatDatapath(std::move(artifact)));
-    case EngineVariant::kFloatSimd:
-      return EngineStorage(std::in_place_type<SimdInferenceEngine>,
-                           SimdFloatDatapath(std::move(artifact)));
-    case EngineVariant::kQuantScalar:
-    case EngineVariant::kQuantSimd: {
-      DFR_CHECK_MSG(artifact != nullptr, "null model artifact");
-      DFR_CHECK_MSG(artifact->quantized != nullptr,
-                    "artifact '" + artifact->name +
-                        "' has no quantized twin (attach one with "
-                        "with_quantized before quantized serving)");
-      if (variant == EngineVariant::kQuantScalar) {
-        return EngineStorage(std::in_place_type<QuantizedInferenceEngine>,
-                             QuantizedDatapath(artifact->quantized));
-      }
-      return EngineStorage(std::in_place_type<SimdQuantizedInferenceEngine>,
-                           SimdQuantizedDatapath(artifact->quantized));
-    }
+  if (variant == EngineVariant::kQuantized) {
+    return EngineStorage(std::in_place_type<SimdQuantizedInferenceEngine>,
+                         SimdQuantizedDatapath(quantized_twin(artifact)));
   }
-  DFR_CHECK_MSG(false, "unknown engine variant");
-  return EngineStorage(std::in_place_type<InferenceEngine>,
-                       FloatDatapath(std::move(artifact)));
+  return EngineStorage(std::in_place_type<SimdInferenceEngine>,
+                       SimdFloatDatapath(std::move(artifact)));
 }
 
 }  // namespace
@@ -127,9 +117,6 @@ PooledEngine::PooledEngine(ModelArtifactPtr artifact, EngineVariant variant)
     : artifact_(std::move(artifact)),
       variant_(variant),
       engine_(build_engine(artifact_, variant_)) {}
-
-PooledEngine::PooledEngine(ModelArtifactPtr artifact, FloatEngineKind kind)
-    : PooledEngine(std::move(artifact), resolve_variant(kind)) {}
 
 std::span<const double> PooledEngine::infer(const Matrix& series) {
   return std::visit([&](auto& engine) { return engine.infer(series); },
@@ -151,39 +138,11 @@ using BatchedEngineStorage =
 BatchedEngineStorage build_batched_engine(ModelArtifactPtr artifact,
                                           EngineVariant variant,
                                           std::size_t max_lanes) {
-  // Scalar variants pin the scalar kernel set (their batched results must
-  // stay bit-identical to the scalar single-series pipeline per lane); SIMD
-  // variants take the active backend exactly like build_engine.
-  switch (variant) {
-    case EngineVariant::kFloatScalar:
-      return BatchedEngineStorage(
-          std::in_place_type<BatchedInferenceEngine>,
-          BatchedFloatDatapath(std::move(artifact), simd::Backend::kScalar),
-          max_lanes);
-    case EngineVariant::kFloatSimd:
-      return BatchedEngineStorage(std::in_place_type<BatchedInferenceEngine>,
-                                  BatchedFloatDatapath(std::move(artifact)),
-                                  max_lanes);
-    case EngineVariant::kQuantScalar:
-    case EngineVariant::kQuantSimd: {
-      DFR_CHECK_MSG(artifact != nullptr, "null model artifact");
-      DFR_CHECK_MSG(artifact->quantized != nullptr,
-                    "artifact '" + artifact->name +
-                        "' has no quantized twin (attach one with "
-                        "with_quantized before quantized serving)");
-      if (variant == EngineVariant::kQuantScalar) {
-        return BatchedEngineStorage(
-            std::in_place_type<BatchedQuantizedInferenceEngine>,
-            BatchedQuantizedDatapath(artifact->quantized,
-                                     simd::Backend::kScalar),
-            max_lanes);
-      }
-      return BatchedEngineStorage(
-          std::in_place_type<BatchedQuantizedInferenceEngine>,
-          BatchedQuantizedDatapath(artifact->quantized), max_lanes);
-    }
+  if (variant == EngineVariant::kQuantized) {
+    return BatchedEngineStorage(
+        std::in_place_type<BatchedQuantizedInferenceEngine>,
+        BatchedQuantizedDatapath(quantized_twin(artifact)), max_lanes);
   }
-  DFR_CHECK_MSG(false, "unknown engine variant");
   return BatchedEngineStorage(std::in_place_type<BatchedInferenceEngine>,
                               BatchedFloatDatapath(std::move(artifact)),
                               max_lanes);
@@ -289,12 +248,6 @@ PooledEngine& EnginePool::engine_for(std::size_t worker,
   // First request for this (artifact, variant): lazy build.
   slot.engines.push_back(std::make_unique<PooledEngine>(artifact, variant));
   return *slot.engines.back();
-}
-
-PooledEngine& EnginePool::engine_for(std::size_t worker,
-                                     const ModelArtifactPtr& artifact,
-                                     FloatEngineKind kind) {
-  return engine_for(worker, artifact, resolve_variant(kind));
 }
 
 PooledBatchedEngine& EnginePool::batched_engine_for(

@@ -106,32 +106,26 @@ class ModelRegistry {
       listeners_;
 };
 
-/// Which datapath a pooled serving engine runs — the resolved form of the
-/// user-facing engine-kind knobs (kAuto already mapped to the SIMD variant
-/// of its family). Float variants serve the artifact's float weights;
-/// quantized variants serve its calibrated fixed-point twin
-/// (ModelArtifact::quantized, attached via with_quantized).
-enum class EngineVariant { kFloatScalar, kFloatSimd, kQuantScalar, kQuantSimd };
+/// Which numeric family a pooled serving engine runs: kFloat serves the
+/// artifact's float weights, kQuantized its calibrated fixed-point twin
+/// (ModelArtifact::quantized, attached via with_quantized). Both run the
+/// SIMD datapaths on simd::active_backend() at build time, so the kernels
+/// are the host's choice, not the request's: DFR_SIMD=scalar is how a
+/// process serves scalar arithmetic.
+enum class EngineVariant { kFloat, kQuantized };
 
-[[nodiscard]] constexpr EngineVariant resolve_variant(
-    FloatEngineKind kind) noexcept {
-  return kind == FloatEngineKind::kScalar ? EngineVariant::kFloatScalar
-                                          : EngineVariant::kFloatSimd;
-}
-
-[[nodiscard]] constexpr EngineVariant resolve_variant(
-    QuantizedEngineKind kind) noexcept {
-  return kind == QuantizedEngineKind::kScalar ? EngineVariant::kQuantScalar
-                                              : EngineVariant::kQuantSimd;
-}
+/// The artifact's calibrated fixed-point twin, the model quantized serving
+/// runs on. Throws CheckError when `artifact` is null or carries no twin
+/// (the server maps that to kInvalidArgument).
+[[nodiscard]] const std::shared_ptr<const QuantizedDfr>& quantized_twin(
+    const ModelArtifactPtr& artifact);
 
 /// One cached serving engine: an artifact reference plus the engine built on
-/// it. Quantized variants require the artifact to carry a quantized twin and
-/// throw CheckError otherwise (the server maps that to kInvalidArgument).
+/// it. kQuantized requires the artifact to carry a quantized twin and throws
+/// CheckError otherwise (see quantized_twin).
 class PooledEngine {
  public:
   PooledEngine(ModelArtifactPtr artifact, EngineVariant variant);
-  PooledEngine(ModelArtifactPtr artifact, FloatEngineKind kind);
 
   /// Logits for one series; the span aliases engine scratch. Zero heap
   /// allocations in steady state (the BasicEngine contract).
@@ -148,16 +142,13 @@ class PooledEngine {
  private:
   ModelArtifactPtr artifact_;
   EngineVariant variant_;
-  std::variant<InferenceEngine, SimdInferenceEngine, QuantizedInferenceEngine,
-               SimdQuantizedInferenceEngine>
-      engine_;
+  std::variant<SimdInferenceEngine, SimdQuantizedInferenceEngine> engine_;
 };
 
 /// One cached batched serving engine: an artifact reference plus the
-/// cross-request SoA engine built on it (serve/engine.hpp BatchedEngine).
-/// Scalar variants run the scalar kernel set; SIMD variants run the active
-/// backend. Quantized variants require the artifact to carry a quantized
-/// twin and throw CheckError otherwise (the server maps that to
+/// cross-request SoA engine built on it (serve/engine.hpp BatchedEngine) on
+/// the active backend. kQuantized requires the artifact to carry a
+/// quantized twin and throws CheckError otherwise (the server maps that to
 /// kInvalidArgument for every coalesced lane).
 class PooledBatchedEngine {
  public:
@@ -212,8 +203,6 @@ class EnginePool {
   /// eviction reclaim or clear() invalidates it.
   PooledEngine& engine_for(std::size_t worker, const ModelArtifactPtr& artifact,
                            EngineVariant variant);
-  PooledEngine& engine_for(std::size_t worker, const ModelArtifactPtr& artifact,
-                           FloatEngineKind kind);
 
   /// The batched engine serving `artifact` on `worker` with `variant` and
   /// `max_lanes` lanes. Same caching, hot-swap-rebuild, and

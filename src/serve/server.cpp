@@ -62,7 +62,7 @@ struct InferenceServer::Slot {
 
   std::string model_id;
   const Matrix* series = nullptr;
-  RequestOptions options;  // engine-kind routing, resolved at process time
+  RequestOptions options;  // engine-variant routing, resolved at process time
   Timer timer;         // restarted at submit; read at completion
   InferResult result;  // logits storage reused across requests
   State state = State::kQueued;
@@ -280,13 +280,6 @@ InferFuture InferenceServer::submit(std::string_view model_id,
 
 namespace {
 
-/// The engine variant a request's options resolve to (per request, at
-/// processing time — the hot-swap contract).
-EngineVariant variant_for(const RequestOptions& options) {
-  return std::visit([](auto kind) { return resolve_variant(kind); },
-                    options.engine);
-}
-
 /// True when the slot's completion budget ran out before execution started.
 bool past_deadline(std::uint64_t deadline_us, const Timer& timer) noexcept {
   return deadline_us > 0 && timer.elapsed_ns() >= deadline_us * 1000;
@@ -408,7 +401,6 @@ void InferenceServer::claim_batchmates(std::vector<std::size_t>& batch) {
   // abandoned, so its future — and therefore the caller's series — is alive,
   // and abandonment transitions happen under this same mutex.
   const Slot& head = *slots_[batch.front()];
-  const EngineVariant head_variant = variant_for(head.options);
   const std::size_t count = pending_count_;
   std::size_t kept = 0;
   for (std::size_t p = 0; p < count; ++p) {
@@ -421,7 +413,7 @@ void InferenceServer::claim_batchmates(std::vector<std::size_t>& batch) {
       continue;
     }
     if (slot.model_id == head.model_id &&
-        variant_for(slot.options) == head_variant &&
+        slot.options.engine == head.options.engine &&
         slot.series->rows() == head.series->rows() &&
         slot.series->cols() == head.series->cols()) {
       if (batch.size() < config_.max_batch) {
@@ -553,7 +545,7 @@ void InferenceServer::process_batch(std::size_t worker,
   } else {
     try {
       PooledBatchedEngine& engine = pool_.batched_engine_for(
-          worker, artifact, variant_for(head.options), config_.max_batch);
+          worker, artifact, head.options.engine, config_.max_batch);
       Timer service_timer;
       engine.infer(std::span<const Matrix* const>(series.data(), lanes));
       note_service_time(service_timer.elapsed_ns() / lanes);
@@ -622,12 +614,11 @@ void InferenceServer::process(std::size_t worker, std::size_t slot_index) {
     result.status = RequestStatus::kUnknownModel;
   } else {
     try {
-      // Engine-kind resolution is per request, like the id: a quantized
-      // kind routes to the artifact's fixed-point twin (kInvalidArgument
-      // via CheckError when the artifact carries none).
-      const EngineVariant variant = std::visit(
-          [](auto kind) { return resolve_variant(kind); }, slot.options.engine);
-      PooledEngine& engine = pool_.engine_for(worker, artifact, variant);
+      // The variant resolves against the artifact per request, like the
+      // id: kQuantized routes to the artifact's fixed-point twin
+      // (kInvalidArgument via CheckError when the artifact carries none).
+      PooledEngine& engine =
+          pool_.engine_for(worker, artifact, slot.options.engine);
       Timer service_timer;
       const std::span<const double> logits = engine.infer(*slot.series);
       note_service_time(service_timer.elapsed_ns());
@@ -707,21 +698,12 @@ std::vector<int> InferenceServer::classify_batch(std::string_view model_id,
   const ModelArtifactPtr artifact = registry_->get(model_id);
   DFR_CHECK_MSG(artifact != nullptr,
                 "unknown model id: " + std::string(model_id));
-  std::vector<int> out;
-  if (const auto* quant_kind =
-          std::get_if<QuantizedEngineKind>(&options.engine)) {
-    DFR_CHECK_MSG(artifact->quantized != nullptr,
-                  "artifact '" + artifact->name +
-                      "' has no quantized twin (attach one with "
-                      "with_quantized before quantized serving)");
-    // The local `artifact` shared_ptr keeps the borrowed twin alive for the
-    // duration of the fan-out.
-    out = dfr::classify_batch(*artifact->quantized, series, threads,
-                              *quant_kind);
-  } else {
-    out = dfr::classify_batch(artifact, series, threads,
-                              std::get<FloatEngineKind>(options.engine));
-  }
+  // The local `artifact` shared_ptr keeps a borrowed twin alive for the
+  // duration of the fan-out.
+  std::vector<int> out =
+      options.engine == EngineVariant::kQuantized
+          ? dfr::classify_batch(*quantized_twin(artifact), series, threads)
+          : dfr::classify_batch(artifact, series, threads);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     if (StatsEntry* entry = stats_entry_for(model_id, /*allow_create=*/true)) {

@@ -78,7 +78,6 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "linalg/stats.hpp"
@@ -107,7 +106,12 @@ struct InferResult {
   RequestStatus status = RequestStatus::kOk;
   int label = -1;      // argmax of logits; -1 on error
   Vector logits;       // empty on error
-  double latency_us = 0.0;  // submit -> completion (queue wait + inference)
+  /// Submit -> completion (queue wait + inference). A request rejected at
+  /// submit (kQueueFull, kShutdown, or a submit-time kDeadlineExceeded
+  /// shed) never took a slot and reads 0. An admitted request shed for its
+  /// deadline reads at least its deadline_us: the queue sweep and the
+  /// dequeue shed fire only once that much time has elapsed.
+  double latency_us = 0.0;
 };
 
 struct ServerConfig {
@@ -150,14 +154,14 @@ struct ServerConfig {
   bool shed_on_submit = true;
 };
 
-/// Per-request options. `engine` picks the datapath family and
-/// implementation: a FloatEngineKind routes to the artifact's float weights
-/// (the default — kAuto is SIMD best-available), a QuantizedEngineKind
-/// routes to its calibrated fixed-point twin (ModelArtifact::quantized,
-/// attached via with_quantized; requests for an artifact without one
-/// resolve to kInvalidArgument). Like the model id, the engine kind is
-/// resolved per request at processing time, so a hot-swap that adds or
-/// drops a quantized twin takes effect on the next request.
+/// Per-request options. `engine` picks the numeric family: kFloat (the
+/// default) serves the artifact's float weights, kQuantized its calibrated
+/// fixed-point twin (ModelArtifact::quantized, attached via with_quantized;
+/// requests for an artifact without one resolve to kInvalidArgument). The
+/// kernels are the process's active SIMD backend, never a request option.
+/// Like the model id, the family is resolved against the artifact per
+/// request at processing time, so a hot-swap that adds or drops a quantized
+/// twin takes effect on the next request.
 /// SLO knobs (`deadline_us`, `priority`) shape HOW the queue drains under
 /// load: workers dequeue the highest-priority request first (FIFO within a
 /// priority level; cancellations may perturb that tie-break), the
@@ -171,8 +175,7 @@ struct ServerConfig {
 /// admitted request always resolves, either with a result or with the
 /// typed shed status.
 struct RequestOptions {
-  std::variant<FloatEngineKind, QuantizedEngineKind> engine =
-      FloatEngineKind::kAuto;
+  EngineVariant engine = EngineVariant::kFloat;
   /// Completion budget in microseconds, measured from submit(); 0 = none.
   /// When the budget is exhausted before a worker dequeues the request, it
   /// is shed with kDeadlineExceeded instead of executing late.
@@ -251,47 +254,21 @@ class InferenceServer {
   /// future's destructor cancels or finishes the request, so destroying the
   /// future and then the series is always safe). Never blocks: returns an
   /// already-resolved kQueueFull / kShutdown future when the request cannot
-  /// be admitted. The options' engine kind routes the request per request —
-  /// see RequestOptions for the quantized path.
+  /// be admitted. The options' engine variant routes the request per
+  /// request — see RequestOptions for the quantized path.
   [[nodiscard]] InferFuture submit(std::string_view model_id,
                                    const Matrix& series,
                                    RequestOptions options = {});
 
-  /// Convenience overloads for a bare engine-kind argument.
-  [[nodiscard]] InferFuture submit(std::string_view model_id,
-                                   const Matrix& series,
-                                   FloatEngineKind engine) {
-    return submit(model_id, series, RequestOptions{.engine = engine});
-  }
-  [[nodiscard]] InferFuture submit(std::string_view model_id,
-                                   const Matrix& series,
-                                   QuantizedEngineKind engine) {
-    return submit(model_id, series, RequestOptions{.engine = engine});
-  }
-
   /// Synchronous batch path: routes by id, then fans out over the
   /// process-global pool exactly like the free classify_batch (bypasses the
   /// request queue and its capacity bound). Throws CheckError when
-  /// `model_id` is not registered — or when a quantized engine kind is
-  /// requested for an artifact without a quantized twin.
+  /// `model_id` is not registered — or when kQuantized is requested for an
+  /// artifact without a quantized twin.
   [[nodiscard]] std::vector<int> classify_batch(std::string_view model_id,
                                                 std::span<const Matrix> series,
                                                 unsigned threads = 0,
                                                 RequestOptions options = {});
-  [[nodiscard]] std::vector<int> classify_batch(std::string_view model_id,
-                                                std::span<const Matrix> series,
-                                                unsigned threads,
-                                                FloatEngineKind engine) {
-    return classify_batch(model_id, series, threads,
-                          RequestOptions{.engine = engine});
-  }
-  [[nodiscard]] std::vector<int> classify_batch(std::string_view model_id,
-                                                std::span<const Matrix> series,
-                                                unsigned threads,
-                                                QuantizedEngineKind engine) {
-    return classify_batch(model_id, series, threads,
-                          RequestOptions{.engine = engine});
-  }
 
   /// Stop admission, drain every queued request, join the workers.
   /// Idempotent; called by the destructor.

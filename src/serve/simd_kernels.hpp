@@ -204,8 +204,9 @@ struct Kernels {
 /// Highest-throughput available backend on this CPU.
 [[nodiscard]] Backend best_backend() noexcept;
 
-/// The backend serving kAuto/kSimd engines: best_backend() unless overridden
-/// by the DFR_SIMD environment variable (read once at first use) or
+/// The backend every SIMD engine, classify_batch and the serving pool run on
+/// unless given an explicit one: best_backend() unless overridden by the
+/// DFR_SIMD environment variable (read once at first use) or
 /// force_backend(). A DFR_SIMD value that is unrecognized (e.g. `avx999`)
 /// or unavailable on this host/build (e.g. `avx512` on a CPU without it)
 /// never degrades silently: one warning naming the value and the backend

@@ -37,7 +37,7 @@ struct SynthModelSpec {
 /// Deployment-shaped artifact with deterministic random weights (binary
 /// mask, uniform readout) under `name`. With spec.quantized, the artifact
 /// carries a QuantizedDfr twin calibrated on make_synth_dataset(spec, ...),
-/// so QuantizedEngineKind requests resolve.
+/// so EngineVariant::kQuantized requests resolve.
 [[nodiscard]] ModelArtifactPtr make_synth_artifact(std::string name,
                                                    const SynthModelSpec& spec);
 

@@ -123,37 +123,22 @@ class Cursor {
   return frame.subspan(sizeof(FrameHeader));
 }
 
-// Engine-variant wire encoding: family selects the std::variant alternative,
-// kind the enum value inside it. Both enums share {kAuto=0,kScalar=1,kSimd=2}.
-constexpr std::uint8_t kFamilyFloat = 0;
-constexpr std::uint8_t kFamilyQuantized = 1;
+// Engine-variant wire encoding: the family byte carries the EngineVariant.
+// The kind byte is written as 0. The 1 (scalar) and 2 (simd) that older
+// encoders send still decode and are ignored: the serving process's SIMD
+// backend picks the kernels.
+static_assert(static_cast<int>(EngineVariant::kFloat) == 0 &&
+                  static_cast<int>(EngineVariant::kQuantized) == 1,
+              "the engine family byte is the EngineVariant value");
+constexpr std::uint8_t kMaxEngineFamily = 1;
+constexpr std::uint8_t kMaxEngineKind = 2;
 
-static_assert(static_cast<int>(FloatEngineKind::kSimd) == 2 &&
-                  static_cast<int>(QuantizedEngineKind::kSimd) == 2,
-              "engine-kind wire values assume the shared 0/1/2 layout");
-
-struct EncodedEngine {
-  std::uint8_t family;
-  std::uint8_t kind;
-};
-
-[[nodiscard]] EncodedEngine encode_engine(
-    const std::variant<FloatEngineKind, QuantizedEngineKind>& engine) {
-  if (const auto* f = std::get_if<FloatEngineKind>(&engine)) {
-    return {kFamilyFloat, static_cast<std::uint8_t>(*f)};
-  }
-  return {kFamilyQuantized,
-          static_cast<std::uint8_t>(std::get<QuantizedEngineKind>(engine))};
-}
-
-[[nodiscard]] std::variant<FloatEngineKind, QuantizedEngineKind> decode_engine(
-    std::uint8_t family, std::uint8_t kind) {
-  DFR_CHECK_MSG(family <= kFamilyQuantized,
+[[nodiscard]] EngineVariant decode_engine(std::uint8_t family,
+                                          std::uint8_t kind) {
+  DFR_CHECK_MSG(family <= kMaxEngineFamily,
                 "wire: unknown engine family in request");
-  DFR_CHECK_MSG(kind <= static_cast<std::uint8_t>(FloatEngineKind::kSimd),
-                "wire: unknown engine kind in request");
-  if (family == kFamilyFloat) return static_cast<FloatEngineKind>(kind);
-  return static_cast<QuantizedEngineKind>(kind);
+  DFR_CHECK_MSG(kind <= kMaxEngineKind, "wire: unknown engine kind in request");
+  return static_cast<EngineVariant>(family);
 }
 
 // ---- transport helpers -----------------------------------------------------
@@ -249,10 +234,9 @@ void encode_request(const WireRequest& request, const Matrix& series,
                 "wire: model id too long to frame");
   encode_frame(frame, MessageType::kInferRequest, request.seq,
                [&](std::vector<std::byte>& out) {
-                 const EncodedEngine engine =
-                     encode_engine(request.options.engine);
-                 append_pod(out, engine.family);
-                 append_pod(out, engine.kind);
+                 append_pod(out,
+                            static_cast<std::uint8_t>(request.options.engine));
+                 append_pod(out, std::uint8_t{0});  // kind (see decode_engine)
                  append_pod(out, std::uint16_t{0});  // reserved
                  append_pod(out, request.options.priority);
                  append_pod(out, request.options.deadline_us);

@@ -16,8 +16,9 @@
 // request served in-process.
 //
 // Message bodies (after the header):
-//   kInferRequest   u8 engine_family (0 float / 1 quantized)
-//                   u8 engine_kind   (0 auto / 1 scalar / 2 simd)
+//   kInferRequest   u8 engine_family (EngineVariant: 0 float / 1 quantized)
+//                   u8 engine_kind   (written 0; 1 and 2 from older
+//                                     encoders decode and are ignored)
 //                   u16 reserved (zero)
 //                   i32 priority | u64 deadline_us        (RequestOptions)
 //                   u32 model_id_len | model_id bytes

@@ -181,7 +181,7 @@ TEST_F(TwoShardTier, RoutedTrafficBitIdenticalToInProcessServer) {
     const std::string model_id = "m" + std::to_string(i % 2);
     const Matrix series = make_synth_series(48, 2, 9000 + i);
     RequestOptions options;
-    if (i % 3 == 2) options.engine = QuantizedEngineKind::kAuto;
+    if (i % 3 == 2) options.engine = EngineVariant::kQuantized;
 
     const wire::WireResponse routed =
         router_->infer(model_id, series, options);

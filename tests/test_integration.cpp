@@ -13,6 +13,7 @@
 #include "dfr/grid_search.hpp"
 #include "dfr/model_io.hpp"
 #include "dfr/trainer.hpp"
+#include "serve/engine.hpp"
 
 namespace dfr {
 namespace {
@@ -44,12 +45,12 @@ TEST(Integration, FullPipelineOnPaperShapedDataset) {
   const LoadedModel loaded = load_model(path);
   std::remove(path.c_str());
   const auto reference = predict(model, pair.test);
+  // The scalar engine: exact equality against the scalar training-side
+  // predictions; SIMD-vs-scalar tolerance is test_simd.cpp's contract, not
+  // this test's.
+  InferenceEngine engine = make_engine(loaded);
   for (std::size_t i = 0; i < pair.test.size(); ++i) {
-    // kScalar: exact-equality against the scalar training-side predictions;
-    // SIMD-vs-scalar tolerance is test_simd.cpp's contract, not this test's.
-    EXPECT_EQ(loaded.classify(pair.test[i].series, FloatEngineKind::kScalar),
-              reference[i])
-        << i;
+    EXPECT_EQ(engine.classify(pair.test[i].series), reference[i]) << i;
   }
 }
 

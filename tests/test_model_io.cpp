@@ -16,6 +16,7 @@
 #include "data/synth.hpp"
 #include "dfr/model_io.hpp"
 #include "dfr/trainer.hpp"
+#include "serve/engine.hpp"
 
 namespace dfr {
 namespace {
@@ -84,13 +85,12 @@ TEST_F(ModelIoRoundTrip, FieldsSurviveRoundTrip) {
 TEST_F(ModelIoRoundTrip, PredictionsSurviveRoundTrip) {
   const LoadedModel loaded = load_model(path_);
   const std::vector<int> reference = predict(*model_, pair_->test);
+  // The scalar engine: the reference predictions come from the scalar
+  // training-side pipeline, and this test asserts exact round-trip equality,
+  // not the SIMD ULP contract (test_simd.cpp owns that).
+  InferenceEngine engine = make_engine(loaded);
   for (std::size_t i = 0; i < pair_->test.size(); ++i) {
-    // kScalar: the reference predictions come from the scalar training-side
-    // pipeline, and this test asserts exact round-trip equality, not the
-    // SIMD ULP contract (test_simd.cpp owns that).
-    EXPECT_EQ(loaded.classify(pair_->test[i].series, FloatEngineKind::kScalar),
-              reference[i])
-        << i;
+    EXPECT_EQ(engine.classify(pair_->test[i].series), reference[i]) << i;
   }
 }
 

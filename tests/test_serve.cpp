@@ -198,23 +198,20 @@ TEST_F(ServeEngine, ClassifyBatchDeterministicAcrossThreadCounts) {
   }
   const std::span<const Matrix> series(batch);
 
-  // Per-series reference, in order.
+  // Per-series reference, in order, from the SIMD engine on the same
+  // (active) backend the batch resolves: this test pins exact thread-count
+  // determinism; determinism under every forced backend is test_simd.cpp's
+  // ClassifyBatchDeterministicUnderForcedDispatch.
   std::vector<int> reference;
-  InferenceEngine engine = make_engine(*model_);
+  SimdInferenceEngine engine = make_simd_engine(*model_);
   reference.reserve(batch.size());
   for (const Matrix& m : batch) reference.push_back(engine.classify(m));
 
-  // kScalar: the reference comes from the scalar engine and this test pins
-  // exact thread-count determinism of that datapath; the SIMD default path's
-  // determinism under forced dispatch is test_simd.cpp's
-  // ClassifyBatchDeterministicUnderForcedDispatch.
   for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
-    EXPECT_EQ(classify_batch(*model_, series, threads, FloatEngineKind::kScalar),
-              reference)
+    EXPECT_EQ(classify_batch(*model_, series, threads), reference)
         << "threads=" << threads;
   }
-  EXPECT_EQ(classify_batch(*model_, pair_->test, 2, FloatEngineKind::kScalar),
-            reference);
+  EXPECT_EQ(classify_batch(*model_, pair_->test, 2), reference);
 }
 
 TEST_F(ServeEngine, QuantizedBatchMatchesPerSeriesClassify) {
@@ -230,11 +227,7 @@ TEST_F(ServeEngine, QuantizedBatchMatchesPerSeriesClassify) {
 TEST_F(ServeEngine, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(classify_batch(*model_, std::span<const Matrix>{}, 4).empty());
   EXPECT_TRUE(classify_batch(*quantized_, std::span<const Matrix>{}, 4).empty());
-  for (FloatEngineKind kind : {FloatEngineKind::kAuto, FloatEngineKind::kScalar,
-                               FloatEngineKind::kSimd}) {
-    EXPECT_TRUE(
-        classify_batch(*model_, std::span<const Matrix>{}, 0, kind).empty());
-  }
+  EXPECT_TRUE(classify_batch(*model_, std::span<const Matrix>{}, 0).empty());
 }
 
 TEST_F(ServeEngine, BatchSmallerThanThreadsMatchesSerial) {
@@ -244,13 +237,11 @@ TEST_F(ServeEngine, BatchSmallerThanThreadsMatchesSerial) {
   for (std::size_t i = 0; i < 3; ++i) small.push_back(pair_->test[i].series);
   const std::span<const Matrix> series(small);
 
-  for (FloatEngineKind kind : {FloatEngineKind::kScalar, FloatEngineKind::kAuto}) {
-    const std::vector<int> serial = classify_batch(*model_, series, 1, kind);
-    ASSERT_EQ(serial.size(), small.size());
-    for (unsigned threads : {8u, 16u, 0u}) {
-      EXPECT_EQ(classify_batch(*model_, series, threads, kind), serial)
-          << "threads=" << threads;
-    }
+  const std::vector<int> serial = classify_batch(*model_, series, 1);
+  ASSERT_EQ(serial.size(), small.size());
+  for (unsigned threads : {8u, 16u, 0u}) {
+    EXPECT_EQ(classify_batch(*model_, series, threads), serial)
+        << "threads=" << threads;
   }
   const std::vector<int> quant_serial = classify_batch(*quantized_, series, 1);
   for (unsigned threads : {8u, 16u, 0u}) {
@@ -266,12 +257,10 @@ TEST_F(ServeEngine, DatasetAndSpanOverloadsAgreeAtEveryThreadCount) {
   }
   const std::span<const Matrix> series(batch);
 
-  for (FloatEngineKind kind : {FloatEngineKind::kScalar, FloatEngineKind::kAuto}) {
-    for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
-      EXPECT_EQ(classify_batch(*model_, pair_->test, threads, kind),
-                classify_batch(*model_, series, threads, kind))
-          << "threads=" << threads;
-    }
+  for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+    EXPECT_EQ(classify_batch(*model_, pair_->test, threads),
+              classify_batch(*model_, series, threads))
+        << "threads=" << threads;
   }
   for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
     EXPECT_EQ(classify_batch(*quantized_, pair_->test, threads),
@@ -287,13 +276,11 @@ TEST_F(ServeEngine, ArtifactOverloadMatchesLoadedModelOverload) {
   }
   const std::span<const Matrix> series(batch);
   const ModelArtifactPtr artifact = model_->artifact("m");
-  for (FloatEngineKind kind : {FloatEngineKind::kScalar, FloatEngineKind::kAuto}) {
-    for (unsigned threads : {1u, 4u}) {
-      EXPECT_EQ(classify_batch(artifact, series, threads, kind),
-                classify_batch(*model_, series, threads, kind));
-      EXPECT_EQ(classify_batch(artifact, pair_->test, threads, kind),
-                classify_batch(*model_, pair_->test, threads, kind));
-    }
+  for (unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(classify_batch(artifact, series, threads),
+              classify_batch(*model_, series, threads));
+    EXPECT_EQ(classify_batch(artifact, pair_->test, threads),
+              classify_batch(*model_, pair_->test, threads));
   }
 }
 

@@ -1,8 +1,9 @@
 // Tests for the multi-model serving subsystem (serve/registry.hpp,
 // serve/server.hpp): registry register/get/evict/hot-swap semantics, engine
 // pool caching and swap detection, request routing correctness (bit-identical
-// logits vs direct single-threaded LoadedModel::infer for every engine kind
-// and worker count), hot-swap under concurrent traffic, backpressure,
+// logits vs direct single-threaded LoadedModel::infer at every worker count,
+// and pooled engines vs direct ones on every SIMD backend), hot-swap under
+// concurrent traffic, backpressure,
 // shutdown draining, per-model stats, and the zero-steady-state-allocation
 // guarantee of the submit path.
 #include <gtest/gtest.h>
@@ -45,6 +46,7 @@ namespace dfr {
 namespace {
 
 using serve::EnginePool;
+using serve::EngineVariant;
 using serve::InferenceServer;
 using serve::InferFuture;
 using serve::InferResult;
@@ -71,6 +73,14 @@ LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
   for (double& v : b) v = rng.uniform(-0.1, 0.1);
   model.readout = OutputLayer(std::move(w), std::move(b));
   return model;
+}
+
+/// `model` as artifact `id`, carrying a quantized twin (default config).
+ModelArtifactPtr artifact_with_twin(const LoadedModel& model,
+                                    const std::string& id) {
+  return with_quantized(model.artifact(id),
+                        std::make_shared<const QuantizedDfr>(
+                            model, QuantizedInferenceConfig{}));
 }
 
 Matrix random_series(std::size_t t_len, std::size_t channels, Rng& rng) {
@@ -139,25 +149,24 @@ TEST(ModelRegistry, RejectsAnonymousOrNullArtifacts) {
 // ---- EnginePool ------------------------------------------------------------
 
 TEST(EnginePoolTest, CachesPerArtifactAndKindAndRebuildsOnSwap) {
-  const ModelArtifactPtr v1 = make_model(10, 2, 3, 5).artifact("m");
+  const ModelArtifactPtr v1 = artifact_with_twin(make_model(10, 2, 3, 5), "m");
   const ModelArtifactPtr v2 = make_model(10, 2, 3, 6).artifact("m");
   EnginePool pool(2);
 
-  PooledEngine& simd = pool.engine_for(0, v1, FloatEngineKind::kAuto);
-  EXPECT_EQ(simd.artifact(), v1);
-  // kAuto resolves to the SIMD float variant.
-  EXPECT_EQ(simd.variant(), serve::EngineVariant::kFloatSimd);
-  // Cache hit: same entry for the same routing triple, kAuto == kSimd.
-  EXPECT_EQ(&pool.engine_for(0, v1, FloatEngineKind::kSimd), &simd);
-  // Distinct kind and distinct worker slot get distinct engines.
-  PooledEngine& scalar = pool.engine_for(0, v1, FloatEngineKind::kScalar);
-  EXPECT_NE(&scalar, &simd);
-  EXPECT_EQ(scalar.variant(), serve::EngineVariant::kFloatScalar);
-  EXPECT_NE(&pool.engine_for(1, v1, FloatEngineKind::kSimd), &simd);
+  PooledEngine& float_engine = pool.engine_for(0, v1, EngineVariant::kFloat);
+  EXPECT_EQ(float_engine.artifact(), v1);
+  EXPECT_EQ(float_engine.variant(), EngineVariant::kFloat);
+  // Cache hit: same entry for the same routing triple.
+  EXPECT_EQ(&pool.engine_for(0, v1, EngineVariant::kFloat), &float_engine);
+  // Distinct variant and distinct worker slot get distinct engines.
+  PooledEngine& quant = pool.engine_for(0, v1, EngineVariant::kQuantized);
+  EXPECT_NE(&quant, &float_engine);
+  EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
+  EXPECT_NE(&pool.engine_for(1, v1, EngineVariant::kFloat), &float_engine);
 
   // Hot-swap: same name, new artifact — rebuilt in place, same slot entry.
-  PooledEngine& swapped = pool.engine_for(0, v2, FloatEngineKind::kSimd);
-  EXPECT_EQ(&swapped, &simd);
+  PooledEngine& swapped = pool.engine_for(0, v2, EngineVariant::kFloat);
+  EXPECT_EQ(&swapped, &float_engine);
   EXPECT_EQ(swapped.artifact(), v2);
 }
 
@@ -168,13 +177,13 @@ TEST(EnginePoolTest, AnonymousArtifactsGetDistinctStableEngines) {
   const ModelArtifactPtr anon1 = make_model(8, 2, 3, 21).artifact();
   const ModelArtifactPtr anon2 = make_model(8, 2, 3, 22).artifact();
   EnginePool pool(1);
-  PooledEngine& first = pool.engine_for(0, anon1, FloatEngineKind::kSimd);
-  PooledEngine& second = pool.engine_for(0, anon2, FloatEngineKind::kSimd);
+  PooledEngine& first = pool.engine_for(0, anon1, EngineVariant::kFloat);
+  PooledEngine& second = pool.engine_for(0, anon2, EngineVariant::kFloat);
   EXPECT_NE(&first, &second);
   EXPECT_EQ(first.artifact(), anon1);
   EXPECT_EQ(second.artifact(), anon2);
-  EXPECT_EQ(&pool.engine_for(0, anon1, FloatEngineKind::kSimd), &first);
-  EXPECT_EQ(&pool.engine_for(0, anon2, FloatEngineKind::kSimd), &second);
+  EXPECT_EQ(&pool.engine_for(0, anon1, EngineVariant::kFloat), &first);
+  EXPECT_EQ(&pool.engine_for(0, anon2, EngineVariant::kFloat), &second);
 }
 
 TEST(EnginePoolTest, EvictionReclaimsCachedEnginesDeferred) {
@@ -182,23 +191,24 @@ TEST(EnginePoolTest, EvictionReclaimsCachedEnginesDeferred) {
   std::weak_ptr<const ModelArtifact> watch;
   const ModelArtifactPtr other = make_model(8, 2, 3, 31).artifact("other");
   {
-    const ModelArtifactPtr evictee = make_model(8, 2, 3, 30).artifact("m");
+    const ModelArtifactPtr evictee =
+        artifact_with_twin(make_model(8, 2, 3, 30), "m");
     watch = evictee;
     // Build engines for the evictee on both worker slots (and one for a
     // second model, which must survive the reclaim).
-    pool.engine_for(0, evictee, FloatEngineKind::kSimd);
-    pool.engine_for(0, evictee, FloatEngineKind::kScalar);
-    pool.engine_for(1, evictee, FloatEngineKind::kSimd);
-    pool.engine_for(0, other, FloatEngineKind::kSimd);
+    pool.engine_for(0, evictee, EngineVariant::kFloat);
+    pool.engine_for(0, evictee, EngineVariant::kQuantized);
+    pool.engine_for(1, evictee, EngineVariant::kFloat);
+    pool.engine_for(0, other, EngineVariant::kFloat);
     pool.note_eviction("m");
   }  // registry-side reference gone; only cached engines pin the artifact
   EXPECT_FALSE(watch.expired()) << "engines should still pin the artifact";
 
   // Worker 0 reclaims at its next engine_for; worker 1 has not run yet.
-  PooledEngine& survivor = pool.engine_for(0, other, FloatEngineKind::kSimd);
+  PooledEngine& survivor = pool.engine_for(0, other, EngineVariant::kFloat);
   EXPECT_EQ(survivor.artifact(), other);
   EXPECT_FALSE(watch.expired()) << "worker 1 still caches the evictee";
-  pool.engine_for(1, other, FloatEngineKind::kSimd);
+  pool.engine_for(1, other, EngineVariant::kFloat);
   EXPECT_TRUE(watch.expired())
       << "eviction must reclaim cached engines once every worker caught up";
 }
@@ -211,9 +221,9 @@ TEST(EnginePoolTest, EvictedThenReRegisteredModelRebuildsCleanly) {
   const LoadedModel model = make_model(8, 2, 3, 33);
   const ModelArtifactPtr v1 = model.artifact("m");
   const ModelArtifactPtr v2 = model.artifact("m");
-  pool.engine_for(0, v1, FloatEngineKind::kSimd);
+  pool.engine_for(0, v1, EngineVariant::kFloat);
   pool.note_eviction("m");
-  PooledEngine& rebuilt = pool.engine_for(0, v2, FloatEngineKind::kSimd);
+  PooledEngine& rebuilt = pool.engine_for(0, v2, EngineVariant::kFloat);
   EXPECT_EQ(rebuilt.artifact(), v2);
   Rng rng(34);
   const Matrix series = random_series(20, 2, rng);
@@ -231,27 +241,21 @@ TEST(EnginePoolTest, QuantizedVariantsServeTheQuantizedTwin) {
   Rng rng(42);
   const Matrix series = random_series(25, 2, rng);
 
-  PooledEngine& quant_scalar =
-      pool.engine_for(0, artifact, serve::EngineVariant::kQuantScalar);
-  PooledEngine& quant_simd =
-      pool.engine_for(0, artifact, serve::EngineVariant::kQuantSimd);
-  EXPECT_NE(&quant_scalar, &quant_simd);
-  EXPECT_EQ(quant_scalar.variant(), serve::EngineVariant::kQuantScalar);
-  EXPECT_EQ(quant_simd.variant(), serve::EngineVariant::kQuantSimd);
-  // Both quantized variants agree bit-identically (the quantized SIMD
-  // exactness contract) and match the direct quantized engine.
+  PooledEngine& quant = pool.engine_for(0, artifact, EngineVariant::kQuantized);
+  EXPECT_NE(&quant, &pool.engine_for(0, artifact, EngineVariant::kFloat));
+  EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
+  // The pooled SIMD quantized engine matches the direct scalar quantized
+  // engine bit for bit (the quantized SIMD exactness contract).
   QuantizedInferenceEngine direct = make_engine(*quantized);
   const Vector expected(direct.infer(series).begin(),
                         direct.infer(series).end());
-  expect_bit_identical(expected, quant_scalar.infer(series), "quant-scalar");
-  expect_bit_identical(expected, quant_simd.infer(series), "quant-simd");
-  EXPECT_EQ(quant_scalar.classify(series), direct.classify(series));
+  expect_bit_identical(expected, quant.infer(series), "quantized");
+  EXPECT_EQ(quant.classify(series), direct.classify(series));
 
-  // A float-only artifact throws the typed error for quantized variants.
+  // A float-only artifact throws the typed error for the quantized variant.
   const ModelArtifactPtr bare = model.artifact("bare");
-  EXPECT_THROW(
-      (void)pool.engine_for(0, bare, serve::EngineVariant::kQuantSimd),
-      CheckError);
+  EXPECT_THROW((void)pool.engine_for(0, bare, EngineVariant::kQuantized),
+               CheckError);
 }
 
 TEST(EnginePoolTest, HotSwapDroppingTheQuantizedTwinReleasesTheStaleEngine) {
@@ -268,25 +272,23 @@ TEST(EnginePoolTest, HotSwapDroppingTheQuantizedTwinReleasesTheStaleEngine) {
         model.artifact("m"), std::make_shared<const QuantizedDfr>(
                                  model, QuantizedInferenceConfig{}));
     watch = with_twin;
-    pool.engine_for(0, with_twin, serve::EngineVariant::kQuantSimd);
+    pool.engine_for(0, with_twin, EngineVariant::kQuantized);
   }  // registry-side reference gone; only the cached engine pins v1
-  EXPECT_THROW(
-      (void)pool.engine_for(0, bare, serve::EngineVariant::kQuantSimd),
-      CheckError);
+  EXPECT_THROW((void)pool.engine_for(0, bare, EngineVariant::kQuantized),
+               CheckError);
   EXPECT_TRUE(watch.expired())
       << "failed hot-swap rebuild must release the stale engine";
   // The error is per-request, not sticky: float serving still works, and a
   // twin-carrying re-register serves quantized again.
   Rng rng(46);
   const Matrix series = random_series(20, 2, rng);
-  EXPECT_EQ(pool.engine_for(0, bare, serve::EngineVariant::kFloatSimd)
-                .classify(series),
+  EXPECT_EQ(pool.engine_for(0, bare, EngineVariant::kFloat).classify(series),
             model.classify(series));
   const ModelArtifactPtr restored = with_quantized(
       model.artifact("m"), std::make_shared<const QuantizedDfr>(
                                model, QuantizedInferenceConfig{}));
   PooledEngine& rebuilt =
-      pool.engine_for(0, restored, serve::EngineVariant::kQuantSimd);
+      pool.engine_for(0, restored, EngineVariant::kQuantized);
   EXPECT_EQ(rebuilt.artifact(), restored);
 }
 
@@ -308,21 +310,54 @@ TEST(WithQuantized, ValidatesShapeAndNullness) {
   EXPECT_EQ(ok->name, "m");
 }
 
+// Pooled engines take the backend that is active when they are built. On
+// every available backend the float engine matches make_simd_engine on that
+// backend bit for bit, and the quantized engine matches the scalar quantized
+// engine (the exactness contract).
 TEST(EnginePoolTest, EngineMatchesDirectInference) {
-  const LoadedModel model = make_model(10, 2, 3, 7);
-  const ModelArtifactPtr artifact = model.artifact("m");
+  const ModelArtifactPtr artifact =
+      artifact_with_twin(make_model(10, 2, 3, 7), "m");
   Rng rng(8);
   const Matrix series = random_series(30, 2, rng);
-  EnginePool pool(1);
-  for (FloatEngineKind kind :
-       {FloatEngineKind::kScalar, FloatEngineKind::kSimd}) {
-    const Vector expected = model.infer(series, kind);
-    PooledEngine& engine = pool.engine_for(0, artifact, kind);
-    expect_bit_identical(expected, engine.infer(series), "pooled engine");
+  QuantizedInferenceEngine quant_direct = make_engine(*artifact->quantized);
+  const std::span<const double> q = quant_direct.infer(series);
+  const Vector quant_expected(q.begin(), q.end());
+
+  struct RestoreBackend {
+    simd::Backend saved = simd::active_backend();
+    ~RestoreBackend() { simd::force_backend(saved); }
+  } restore;
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
+                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
+    if (!simd::backend_available(b)) continue;
+    simd::force_backend(b);
+    const std::string backend = simd::backend_name(b);
+    EnginePool pool(1);
+    PooledEngine& engine = pool.engine_for(0, artifact, EngineVariant::kFloat);
+    SimdInferenceEngine direct = make_simd_engine(artifact, b);
+    const std::span<const double> z = direct.infer(series);
+    const Vector expected(z.begin(), z.end());
+    expect_bit_identical(expected, engine.infer(series), backend + " float");
     EXPECT_EQ(engine.classify(series),
               static_cast<int>(std::max_element(expected.begin(),
                                                 expected.end()) -
-                               expected.begin()));
+                               expected.begin()))
+        << backend;
+#if defined(__x86_64__) || defined(_M_X64)
+    if (b == simd::Backend::kScalar) {
+      // The scalar kernels perform FloatDatapath's operations, so the
+      // scalar engine is bit-identical on x86-64 (see test_simd.cpp's
+      // FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes).
+      InferenceEngine scalar = make_engine(artifact);
+      const std::span<const double> s = scalar.infer(series);
+      expect_bit_identical(Vector(s.begin(), s.end()), engine.infer(series),
+                           "scalar FloatDatapath");
+    }
+#endif
+    expect_bit_identical(
+        quant_expected,
+        pool.engine_for(0, artifact, EngineVariant::kQuantized).infer(series),
+        backend + " quantized");
   }
 }
 
@@ -366,39 +401,33 @@ std::vector<Matrix>* ServerRouting::series_a_ = nullptr;
 std::vector<Matrix>* ServerRouting::series_b_ = nullptr;
 
 // Concurrent interleaved requests against two registered models return
-// bit-identical logits to direct single-threaded LoadedModel::infer() for
-// every engine kind, at 1 and 8 workers.
+// bit-identical logits to direct single-threaded LoadedModel::infer() (the
+// SIMD engine on the active backend) at 1 and 8 workers.
 TEST_F(ServerRouting, InterleavedRequestsBitIdenticalToDirectInfer) {
   ModelRegistry registry;
   registry.register_model(model_a_->artifact("a"));
   registry.register_model(model_b_->artifact("b"));
 
-  constexpr FloatEngineKind kKinds[] = {
-      FloatEngineKind::kAuto, FloatEngineKind::kScalar, FloatEngineKind::kSimd};
-
   for (std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
     InferenceServer server(registry,
                            {.workers = workers, .queue_capacity = 256});
-    // Interleave models, series, and engine kinds in one submission wave so
-    // concurrent workers route a mixed stream.
+    // Interleave models and series in one submission wave so concurrent
+    // workers route a mixed stream.
     struct Expected {
       const char* id;
       const Matrix* series;
-      FloatEngineKind kind;
     };
     std::vector<Expected> requests;
     std::vector<InferFuture> futures;
-    for (int pass = 0; pass < 2; ++pass) {
+    for (int pass = 0; pass < 6; ++pass) {
       for (std::size_t i = 0; i < kSeriesPerModel; ++i) {
-        for (FloatEngineKind kind : kKinds) {
-          requests.push_back({"a", &(*series_a_)[i], kind});
-          requests.push_back({"b", &(*series_b_)[i], kind});
-        }
+        requests.push_back({"a", &(*series_a_)[i]});
+        requests.push_back({"b", &(*series_b_)[i]});
       }
     }
     futures.reserve(requests.size());
     for (const Expected& r : requests) {
-      futures.push_back(server.submit(r.id, *r.series, r.kind));
+      futures.push_back(server.submit(r.id, *r.series));
     }
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const InferResult& result = futures[i].get();
@@ -406,8 +435,7 @@ TEST_F(ServerRouting, InterleavedRequestsBitIdenticalToDirectInfer) {
           << "workers=" << workers << " request " << i;
       const LoadedModel& model =
           requests[i].id[0] == 'a' ? *model_a_ : *model_b_;
-      const Vector expected = model.infer(*requests[i].series,
-                                          requests[i].kind);
+      const Vector expected = model.infer(*requests[i].series);
       expect_bit_identical(
           expected, result.logits,
           std::string("workers=") + std::to_string(workers) + " model " +
@@ -509,10 +537,10 @@ TEST_F(ServerRouting, SyncClassifyBatchMatchesFreeFunction) {
   EXPECT_EQ(server.stats("a").completed, 2 * series.size());
 }
 
-// Per-request quantized routing: RequestOptions with a QuantizedEngineKind
-// serves the artifact's calibrated twin, bit-identical to direct quantized
-// inference for both kinds, interleaved with float traffic on the same
-// worker; a float-only artifact answers quantized requests with the typed
+// Per-request quantized routing: RequestOptions with EngineVariant::kQuantized
+// serves the artifact's calibrated twin, bit-identical to direct scalar
+// quantized inference, interleaved with float traffic on the same worker; a
+// float-only artifact answers quantized requests with the typed
 // kInvalidArgument.
 TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
   auto quantized = std::make_shared<const QuantizedDfr>(
@@ -523,37 +551,31 @@ TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
   registry.register_model(model_b_->artifact("b"));  // float-only
   InferenceServer server(registry, {.workers = 2, .queue_capacity = 64});
 
+  const serve::RequestOptions quant{.engine = EngineVariant::kQuantized};
   QuantizedInferenceEngine direct = make_engine(*quantized);
   for (std::size_t i = 0; i < kSeriesPerModel; ++i) {
     const Matrix& series = (*series_a_)[i];
     const Vector expected(direct.infer(series).begin(),
                           direct.infer(series).end());
-    for (serve::RequestOptions options :
-         {serve::RequestOptions{QuantizedEngineKind::kAuto},
-          serve::RequestOptions{QuantizedEngineKind::kScalar},
-          serve::RequestOptions{QuantizedEngineKind::kSimd}}) {
-      InferFuture quant_future = server.submit("a", series, options);
-      InferFuture float_future = server.submit("a", series);  // interleave
-      const InferResult& result = quant_future.get();
-      ASSERT_EQ(result.status, RequestStatus::kOk);
-      expect_bit_identical(expected, result.logits,
-                           "quantized request " + std::to_string(i));
-      EXPECT_EQ(result.label, direct.classify(series));
-      EXPECT_EQ(float_future.get().status, RequestStatus::kOk);
-    }
+    InferFuture quant_future = server.submit("a", series, quant);
+    InferFuture float_future = server.submit("a", series);  // interleave
+    const InferResult& result = quant_future.get();
+    ASSERT_EQ(result.status, RequestStatus::kOk);
+    expect_bit_identical(expected, result.logits,
+                         "quantized request " + std::to_string(i));
+    EXPECT_EQ(result.label, direct.classify(series));
+    EXPECT_EQ(float_future.get().status, RequestStatus::kOk);
   }
   // Quantized request against a float-only artifact: typed client error.
   const InferResult& no_twin =
-      server.submit("b", (*series_b_)[0], QuantizedEngineKind::kAuto).get();
+      server.submit("b", (*series_b_)[0], quant).get();
   EXPECT_EQ(no_twin.status, RequestStatus::kInvalidArgument);
 
-  // The sync batch path routes quantized kinds the same way.
+  // The sync batch path routes the quantized variant the same way.
   const std::span<const Matrix> series(*series_a_);
-  EXPECT_EQ(server.classify_batch("a", series, 2, QuantizedEngineKind::kAuto),
+  EXPECT_EQ(server.classify_batch("a", series, 2, quant),
             classify_batch(*quantized, series, 1));
-  EXPECT_THROW(
-      (void)server.classify_batch("b", series, 1, QuantizedEngineKind::kAuto),
-      CheckError);
+  EXPECT_THROW((void)server.classify_batch("b", series, 1, quant), CheckError);
 }
 
 // ---- InferenceServer: eviction hygiene -------------------------------------
@@ -787,11 +809,15 @@ TEST_F(ServerRouting, AbandonedFutureNeverReadsADestroyedSeries) {
 
 TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
   ModelRegistry registry;
-  registry.register_model(model_a_->artifact("a"));
-  registry.register_model(model_b_->artifact("b"));
+  registry.register_model(artifact_with_twin(*model_a_, "a"));
+  registry.register_model(artifact_with_twin(*model_b_, "b"));
   InferenceServer server(registry, {.workers = 1, .queue_capacity = 4});
+  const auto options = [](bool quantized) {
+    return serve::RequestOptions{
+        .engine = quantized ? EngineVariant::kQuantized : EngineVariant::kFloat};
+  };
 
-  // Warm-up: build every (worker, model, kind) engine, size the per-slot
+  // Warm-up: build every (worker, model, variant) engine, size the per-slot
   // logits/id storage, and create the per-model stats entries. Touch every
   // slot by holding capacity futures at least once.
   for (int rep = 0; rep < 8; ++rep) {
@@ -800,8 +826,7 @@ TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
       const bool a = (rep + i) % 2 == 0;
       wave.push_back(server.submit(a ? "a" : "b",
                                    a ? (*series_a_)[0] : (*series_b_)[0],
-                                   i % 2 == 0 ? FloatEngineKind::kAuto
-                                              : FloatEngineKind::kScalar));
+                                   options(i % 2 != 0)));
     }
     for (InferFuture& future : wave) future.wait();
   }
@@ -812,8 +837,7 @@ TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
     const bool a = rep % 2 == 0;
     InferFuture future =
         server.submit(a ? "a" : "b", a ? (*series_a_)[0] : (*series_b_)[0],
-                      rep % 4 < 2 ? FloatEngineKind::kAuto
-                                  : FloatEngineKind::kScalar);
+                      options(rep % 4 >= 2));
     const InferResult& result = future.get();
     sink += result.label;
     sink += static_cast<int>(result.status);
@@ -861,7 +885,7 @@ TEST(ServerConfigValidation, MicroBatchKnobsThrowTypedErrors) {
 
 // The batched contract end to end: with micro-batching enabled, every reply
 // is bit-identical to the unbatched server's reply for the same request —
-// for both models, float and quantized kinds, at 1 and 8 workers. (Batched
+// for both models, float and quantized variants, at 1 and 8 workers. (Batched
 // lanes run the same per-element kernel operations as the single-series
 // engines, so coalescing must be invisible in the results.)
 TEST_F(ServerRouting, MicroBatchedResultsBitIdenticalToUnbatched) {
@@ -880,13 +904,11 @@ TEST_F(ServerRouting, MicroBatchedResultsBitIdenticalToUnbatched) {
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < kSeriesPerModel; ++i) {
       requests.push_back({"a", &(*series_a_)[i],
-                          serve::RequestOptions{FloatEngineKind::kAuto}});
+                          serve::RequestOptions{EngineVariant::kFloat}});
       requests.push_back({"a", &(*series_a_)[i],
-                          serve::RequestOptions{FloatEngineKind::kScalar}});
-      requests.push_back({"a", &(*series_a_)[i],
-                          serve::RequestOptions{QuantizedEngineKind::kAuto}});
+                          serve::RequestOptions{EngineVariant::kQuantized}});
       requests.push_back({"b", &(*series_b_)[i],
-                          serve::RequestOptions{FloatEngineKind::kAuto}});
+                          serve::RequestOptions{EngineVariant::kFloat}});
     }
   }
 
@@ -939,8 +961,9 @@ TEST_F(ServerRouting, MicroBatchedMissingTwinFailsEveryLaneTyped) {
                                     .batch_window_us = 200});
   std::vector<InferFuture> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(
-        server.submit("b", (*series_b_)[0], QuantizedEngineKind::kAuto));
+    futures.push_back(server.submit(
+        "b", (*series_b_)[0],
+        serve::RequestOptions{.engine = EngineVariant::kQuantized}));
   }
   for (InferFuture& future : futures) {
     const InferResult& result = future.get();
@@ -1326,36 +1349,47 @@ TEST_F(ServerRouting, DoomedRequestShedsAtSubmit) {
 
 // The predictor is conservative by construction: a COLD server (no
 // completions, EWMA untrained) admits even a hopeless deadline instead of
-// guessing — the future is NOT instantly resolved; the request is then
-// claimed and shed by the queue sweep without ever executing.
+// guessing; the request is then claimed and shed by the queue sweep without
+// ever executing. Admission is read off the resolved result, never off
+// ready(), which races the sweep: a shed at submit reads latency_us == 0,
+// and a queue shed fires only once the 1 us budget has elapsed
+// (InferResult::latency_us). The server stays cold only until the plug
+// completes, which a descheduled test thread can outwait; such an attempt
+// (ewma_service_us() already nonzero after the doomed submit) proves
+// nothing and is retried on a fresh server.
 TEST_F(ServerRouting, ColdServerNeverSubmitSheds) {
   ModelRegistry registry;
   registry.register_model(model_a_->artifact("a"));
-  InferenceServer server(registry, {.workers = 1, .queue_capacity = 64});
-  // A long plug series keeps the worker inside one inference (no sweep
-  // point) for the whole admission window below, so ready() observations
-  // are race-free even under scheduler preemption.
   Rng rng(91);
   const Matrix plug = random_series(400, 2, rng);
-  std::vector<InferFuture> backlog;
-  backlog.push_back(server.submit("a", plug));
-  for (int i = 0; i < 8; ++i) {
-    backlog.push_back(server.submit("a", (*series_a_)[i % kSeriesPerModel]));
-  }
   serve::RequestOptions impossible;
   impossible.deadline_us = 1;
-  InferFuture doomed = server.submit("a", (*series_a_)[0], impossible);
-  EXPECT_FALSE(doomed.ready()) << "cold EWMA must not predict";
-  EXPECT_EQ(doomed.get().status, RequestStatus::kDeadlineExceeded);
-  for (InferFuture& future : backlog) {
-    EXPECT_EQ(future.get().status, RequestStatus::kOk);
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    InferenceServer server(registry, {.workers = 1, .queue_capacity = 64});
+    std::vector<InferFuture> backlog;
+    backlog.push_back(server.submit("a", plug));
+    for (int i = 0; i < 8; ++i) {
+      backlog.push_back(server.submit("a", (*series_a_)[i % kSeriesPerModel]));
+    }
+    InferFuture doomed = server.submit("a", (*series_a_)[0], impossible);
+    const bool cold = server.ewma_service_us() == 0.0;
+    EXPECT_EQ(doomed.get().status, RequestStatus::kDeadlineExceeded);
+    for (InferFuture& future : backlog) {
+      EXPECT_EQ(future.get().status, RequestStatus::kOk);
+    }
+    if (cold) {
+      EXPECT_GE(doomed.get().latency_us, 1.0) << "cold EWMA must not predict";
+      return;
+    }
   }
+  FAIL() << "the server never stayed cold through the doomed submit";
 }
 
 // shed_on_submit = false disables the predictor outright: the same trained
-// EWMA + backlog + hopeless deadline is admitted (not instantly resolved)
-// and still resolves typed through the queue sweep / dequeue shed — an
-// admitted request always resolves.
+// EWMA + backlog + hopeless deadline is admitted (its result reads
+// latency_us >= 1, see ColdServerNeverSubmitSheds) and still resolves typed
+// through the queue sweep / dequeue shed — an admitted request always
+// resolves.
 TEST_F(ServerRouting, SubmitShedCanBeDisabled) {
   ModelRegistry registry;
   registry.register_model(model_a_->artifact("a"));
@@ -1365,8 +1399,7 @@ TEST_F(ServerRouting, SubmitShedCanBeDisabled) {
   for (int i = 0; i < 4; ++i) {
     (void)server.submit("a", (*series_a_)[0]).get();
   }
-  // Long plug: the worker sits inside one inference (no sweep point) while
-  // the admission below is observed, so ready() cannot race a queue sweep.
+  // Long plug: the worker stays busy while the backlog below queues.
   Rng rng(92);
   const Matrix plug = random_series(400, 2, rng);
   std::vector<InferFuture> backlog;
@@ -1377,8 +1410,8 @@ TEST_F(ServerRouting, SubmitShedCanBeDisabled) {
   serve::RequestOptions impossible;
   impossible.deadline_us = 1;
   InferFuture doomed = server.submit("a", (*series_a_)[0], impossible);
-  EXPECT_FALSE(doomed.ready()) << "predictor must be off";
   EXPECT_EQ(doomed.get().status, RequestStatus::kDeadlineExceeded);
+  EXPECT_GE(doomed.get().latency_us, 1.0) << "predictor must be off";
   for (InferFuture& future : backlog) {
     EXPECT_EQ(future.get().status, RequestStatus::kOk);
   }

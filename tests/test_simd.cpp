@@ -408,22 +408,26 @@ TEST(SimdEquivalence, LogitsAndClassifyMatchFloatEngine) {
   }
 }
 
-TEST(SimdEquivalence, LoadedModelEngineKnobAgrees) {
+// LoadedModel's convenience path is the SIMD engine on the active backend:
+// bit-identical to make_simd_engine, and within tolerance of the scalar
+// engine.
+TEST(SimdEquivalence, LoadedModelRunsTheSimdEngine) {
   const LoadedModel model = make_model(20, 2, 3, NonlinearityKind::kTanh, 5);
   Rng rng(6);
   const Matrix series = random_series(30, 2, rng);
-  const Vector scalar = model.infer(series, FloatEngineKind::kScalar);
-  const Vector simd_z = model.infer(series, FloatEngineKind::kSimd);
-  const Vector auto_z = model.infer(series);  // default = kAuto
-  ASSERT_EQ(scalar.size(), simd_z.size());
-  ASSERT_EQ(simd_z.size(), auto_z.size());
-  for (std::size_t c = 0; c < scalar.size(); ++c) {
-    EXPECT_EQ(simd_z[c], auto_z[c]);  // kAuto and kSimd are the same engine
-    EXPECT_NEAR(scalar[c], simd_z[c], 1e-9 * std::max(1.0, std::fabs(scalar[c])));
+  InferenceEngine scalar_engine = make_engine(model);
+  SimdInferenceEngine simd_engine = make_simd_engine(model);
+  const std::span<const double> scalar = scalar_engine.infer(series);
+  const std::span<const double> simd_z = simd_engine.infer(series);
+  const Vector z = model.infer(series);
+  ASSERT_EQ(z.size(), simd_z.size());
+  ASSERT_EQ(z.size(), scalar.size());
+  for (std::size_t c = 0; c < z.size(); ++c) {
+    EXPECT_EQ(z[c], simd_z[c]);
+    EXPECT_NEAR(scalar[c], z[c], 1e-9 * std::max(1.0, std::fabs(scalar[c])));
   }
-  EXPECT_EQ(model.classify(series, FloatEngineKind::kScalar),
-            model.classify(series, FloatEngineKind::kSimd));
-  EXPECT_EQ(model.classify(series), model.classify(series, FloatEngineKind::kAuto));
+  EXPECT_EQ(model.classify(series), simd_engine.classify(series));
+  EXPECT_EQ(model.classify(series), scalar_engine.classify(series));
 }
 
 // ---- batch determinism under forced dispatch -------------------------------
@@ -440,8 +444,6 @@ TEST(SimdBatch, ClassifyBatchDeterministicUnderForcedDispatch) {
   std::vector<int> scalar_ref;
   InferenceEngine scalar_engine = make_engine(model);
   for (const Matrix& m : batch) scalar_ref.push_back(scalar_engine.classify(m));
-  EXPECT_EQ(classify_batch(model, series, 1, FloatEngineKind::kScalar),
-            scalar_ref);
 
   ScopedBackend guard;
   for (simd::Backend b : available_backends()) {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "dfr/metrics.hpp"
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -314,25 +315,20 @@ TEST(QuantEquivalence, FeaturesAndLogitsBitIdenticalAcrossEverything) {
   }
 }
 
-// The QuantizedDfr convenience knob: every engine kind returns identical
-// features and labels (kAuto == kSimd == kScalar results, by the exactness
-// contract).
-TEST(QuantEquivalence, QuantizedDfrEngineKnobAgrees) {
+// The QuantizedDfr convenience path runs the SIMD engine on the active
+// backend: identical features and labels to the scalar engine, by the
+// exactness contract.
+TEST(QuantEquivalence, QuantizedDfrMatchesScalarEngine) {
   const LoadedModel model =
       make_model(30, 2, 4, NonlinearityKind::kIdentity, 77);
   QuantizedDfr quantized(model, QuantizedInferenceConfig{});
   Rng rng(78);
   const Matrix series = random_series(50, 2, rng);
-  const Vector scalar = quantized.features(series, QuantizedEngineKind::kScalar);
-  const Vector simd_r = quantized.features(series, QuantizedEngineKind::kSimd);
-  const Vector auto_r = quantized.features(series);  // default = kAuto
+  QuantizedInferenceEngine scalar_engine = make_engine(quantized);
   const double step = quantized.config().feature_format.resolution();
-  expect_bit_identical(scalar, simd_r, "kSimd features", step);
-  expect_bit_identical(simd_r, auto_r, "kAuto features", step);
-  EXPECT_EQ(quantized.classify(series, QuantizedEngineKind::kScalar),
-            quantized.classify(series, QuantizedEngineKind::kSimd));
-  EXPECT_EQ(quantized.classify(series),
-            quantized.classify(series, QuantizedEngineKind::kAuto));
+  expect_bit_identical(scalar_engine.features(series),
+                       quantized.features(series), "features", step);
+  EXPECT_EQ(quantized.classify(series), scalar_engine.classify(series));
 }
 
 // Shared-ownership engines keep the quantized model alive, mirroring the
@@ -378,8 +374,6 @@ TEST(QuantBatch, ClassifyBatchDeterministicUnderForcedDispatch) {
   std::vector<int> scalar_ref;
   QuantizedInferenceEngine scalar_engine = make_engine(quantized);
   for (const Matrix& m : batch) scalar_ref.push_back(scalar_engine.classify(m));
-  EXPECT_EQ(classify_batch(quantized, series, 1, QuantizedEngineKind::kScalar),
-            scalar_ref);
 
   ScopedBackend guard;
   for (simd::Backend b : available_backends()) {
@@ -407,13 +401,17 @@ TEST(QuantBatch, QuantizedAccuracyAgreesAcrossEngineKinds) {
   for (int i = 0; i < 16; ++i) {
     data.add({random_series(20, 2, rng), i % 3});
   }
-  const double scalar =
-      quantized_accuracy(quantized, data, 1, QuantizedEngineKind::kScalar);
-  const double simd_acc =
-      quantized_accuracy(quantized, data, 2, QuantizedEngineKind::kSimd);
-  const double auto_acc = quantized_accuracy(quantized, data);
-  EXPECT_EQ(scalar, simd_acc);
-  EXPECT_EQ(simd_acc, auto_acc);
+  // The scalar engine's accuracy against quantized_accuracy (SIMD engines)
+  // at two thread counts.
+  QuantizedInferenceEngine scalar_engine = make_engine(quantized);
+  std::vector<int> predicted, actual;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    predicted.push_back(scalar_engine.classify(data[i].series));
+    actual.push_back(data[i].label);
+  }
+  const double scalar = accuracy(predicted, actual);
+  EXPECT_EQ(quantized_accuracy(quantized, data, 1), scalar);
+  EXPECT_EQ(quantized_accuracy(quantized, data, 2), scalar);
 }
 
 // ---- steady-state allocation guarantee -------------------------------------

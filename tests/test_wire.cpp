@@ -19,6 +19,7 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/wire.hpp"
@@ -70,7 +71,7 @@ WireRequest sample_request() {
   WireRequest request;
   request.seq = 0xfeedface12345678ull;
   request.model_id = "models/clinical-ecg.v7";
-  request.options.engine = QuantizedEngineKind::kSimd;
+  request.options.engine = EngineVariant::kQuantized;
   request.options.deadline_us = 123456789ull;
   request.options.priority = -7;
   request.series = tricky_series();
@@ -89,10 +90,7 @@ TEST(WireRoundTrip, RequestEveryFieldBitIdentical) {
   EXPECT_EQ(decoded.model_id, request.model_id);
   EXPECT_EQ(decoded.options.deadline_us, request.options.deadline_us);
   EXPECT_EQ(decoded.options.priority, request.options.priority);
-  ASSERT_TRUE(std::holds_alternative<QuantizedEngineKind>(
-      decoded.options.engine));
-  EXPECT_EQ(std::get<QuantizedEngineKind>(decoded.options.engine),
-            QuantizedEngineKind::kSimd);
+  EXPECT_EQ(decoded.options.engine, EngineVariant::kQuantized);
   ASSERT_EQ(decoded.series.rows(), request.series.rows());
   ASSERT_EQ(decoded.series.cols(), request.series.cols());
   for (std::size_t i = 0; i < request.series.size(); ++i) {
@@ -103,12 +101,8 @@ TEST(WireRoundTrip, RequestEveryFieldBitIdentical) {
 
 TEST(WireRoundTrip, EveryEngineVariantSurvives) {
   const auto variants = {
-      RequestOptions{.engine = FloatEngineKind::kAuto},
-      RequestOptions{.engine = FloatEngineKind::kScalar},
-      RequestOptions{.engine = FloatEngineKind::kSimd},
-      RequestOptions{.engine = QuantizedEngineKind::kAuto},
-      RequestOptions{.engine = QuantizedEngineKind::kScalar},
-      RequestOptions{.engine = QuantizedEngineKind::kSimd},
+      RequestOptions{.engine = EngineVariant::kFloat},
+      RequestOptions{.engine = EngineVariant::kQuantized},
   };
   const Matrix series(1, 1);
   for (const RequestOptions& options : variants) {
@@ -346,11 +340,27 @@ TEST(WireMalformed, ModelIdAndLogitsLengthLiesRejected) {
 TEST(WireMalformed, BadEngineEncodingRejected) {
   std::vector<std::byte> frame;
   encode_request(sample_request(), frame);
+  constexpr std::size_t kFamily = sizeof(FrameHeader);
+  constexpr std::size_t kKind = kFamily + 1;
+  EXPECT_EQ(frame[kKind], std::byte{0}) << "the kind byte is written as 0";
+  // Kind bytes 1 (scalar) and 2 (simd) from older encoders still decode, to
+  // the family's variant: the kernels are the serving process's choice.
+  const std::pair<std::uint8_t, EngineVariant> families[] = {
+      {0, EngineVariant::kFloat}, {1, EngineVariant::kQuantized}};
+  for (const auto& [family, variant] : families) {
+    for (const std::uint8_t kind : {std::uint8_t{1}, std::uint8_t{2}}) {
+      auto copy = frame;
+      patch<std::uint8_t>(copy, kFamily, family);
+      patch<std::uint8_t>(copy, kKind, kind);
+      EXPECT_EQ(decode_request(copy).options.engine, variant)
+          << "family " << int{family} << " kind " << int{kind};
+    }
+  }
   auto copy = frame;
-  patch<std::uint8_t>(copy, sizeof(FrameHeader), 2);  // family beyond quantized
+  patch<std::uint8_t>(copy, kFamily, 2);  // family beyond quantized
   EXPECT_THROW((void)decode_request(copy), CheckError);
   copy = frame;
-  patch<std::uint8_t>(copy, sizeof(FrameHeader) + 1, 3);  // kind beyond simd
+  patch<std::uint8_t>(copy, kKind, 3);  // kind beyond the old simd value
   EXPECT_THROW((void)decode_request(copy), CheckError);
 }
 
