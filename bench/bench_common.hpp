@@ -53,9 +53,8 @@ inline ScaleOptions read_scale_options(const CliParser& cli) {
   return options;
 }
 
-/// The shared `--csv <path>` option: every bench emits machine-readable rows
-/// under one flag name so the perf-trajectory tooling (BENCH_*.json) can
-/// drive any harness uniformly. An empty path disables emission.
+/// The shared `--csv <path>` option: a bench that emits machine-readable
+/// rows does so under this one flag name. An empty path disables emission.
 inline void add_csv_option(CliParser& cli, const std::string& default_path) {
   cli.add_option("csv", "output CSV path (empty = no CSV)", default_path);
 }

@@ -10,8 +10,9 @@
 //
 // Two targets behind one harness:
 //   --mode inproc   drive an in-process InferenceServer (models +
-//                   traffic from serve/synth.hpp) — the CI perf job's
-//                   latency-vs-offered-load + shed-measurement rows.
+//                   traffic from serve/synth.hpp) — the CI
+//                   distributed-smoke job's in-process sweep, shed and
+//                   fleet rows.
 //   --mode socket   drive a shard fleet through the Router
 //                   (serve/router.hpp): --shards unix:/a.sock,unix:/b.sock
 //                   — the CI distributed-smoke job's traffic source.
@@ -21,9 +22,8 @@
 //                --deadline-us is set (the queue-position shed measurement)
 //   offered_qps / achieved_qps, sent/completed/shed/rejected/errors,
 //   p50/p90/p99_us over completed requests, shed_frac, reject_frac.
-// A sweep (>= 4 points, e.g. --qps 200,500,1000,2000) is the
-// latency-vs-offered-load curve; the perf rollup keys trajectory columns
-// offered_qps/achieved_p99_us off the highest offered point.
+// A sweep (e.g. --qps 200,500,1000,2000) is the latency-vs-offered-load
+// curve.
 //
 // Skew + policy A/B (--skew zipf:<s>, --policy load-aware|placement): Zipf
 // model picks concentrate traffic on hot models, so with a replicated fleet
@@ -387,8 +387,7 @@ void report_point(const std::string& row, std::size_t shards,
   }
   std::cout << "\n";
   // cold_fault_frac / timeout_frac / breaker_fastfail_frac are APPENDED so
-  // the CI awk checks' column indices and the perf rollup's existing parses
-  // stay valid.
+  // the CI awk checks' column indices stay valid.
   csv.add_row({row, "synth", std::to_string(shards), std::to_string(workers),
                fmt(point.offered_qps), fmt(point.duration_s),
                std::to_string(point.sent), std::to_string(point.completed),

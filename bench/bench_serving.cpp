@@ -12,23 +12,21 @@
 // request-queue InferenceServer (serve/server.hpp) under interleaved
 // traffic, reporting request throughput and end-to-end latency (queue wait
 // + inference) per worker count, for float and per-request-routed quantized
-// traffic (server-*-quant rows), and the same traffic through a
-// micro-batching server (server-batched-* rows, max_batch = --lanes) — plus
-// the model-fleet rows (fleet-{mmap,copy}-<N>m for N = 16/256/1024 ids
-// through an ArtifactStore: cold-load p50, warm-hit p50, and the VmRSS
-// delta of the cold sweep, contrasting the zero-copy mmap loader against
-// the copying baseline; 16 distinct .dfrm v2 files are cycled across the
-// ids so the 1024-id sweep stays I/O-light) — plus the offered-deadline
-// shed row (shed-deadline: one worker, every request submitted with a
-// deadline a few service times wide, reporting the fraction the server
-// shed with kDeadlineExceeded before spending engine time; the CSV row
-// carries the shed fraction in the shed_frac column).
+// traffic (<models>-quant rows), and the same traffic through a
+// micro-batching server (<models>+batch rows, max_batch = --lanes) — plus
+// the model-fleet rows (fleet-<N>m for N = 16/256/1024 ids through an
+// ArtifactStore: cold-load p50 of the zero-copy mmap loader, warm-hit p50,
+// and the VmRSS delta of the cold sweep; 16 distinct .dfrm v2 files are
+// cycled across the ids so the 1024-id sweep stays I/O-light) — plus the
+// offered-deadline shed line (shed-deadline: one worker, every request
+// submitted with a deadline a few service times wide, reporting the
+// fraction the server shed with kDeadlineExceeded before spending engine
+// time).
 //
 // Thread-sweep and multi-worker rows are only meaningful when the host has
 // the cores to run them: on hosts with fewer than 4 cores, rows that would
-// oversubscribe (threads/workers > cores) are emitted as explicit
-// `skipped(ncores=N)` markers instead of misleading numbers — CSV consumers
-// (the CI perf rollup) treat the marker as "not measured", never as zero.
+// oversubscribe (threads/workers > cores) print explicit
+// `skipped(ncores=N)` markers instead of misleading numbers.
 //
 // The model is built directly (random mask + random readout at the paper's
 // Nx=30 shape): serving cost depends only on shapes (T, V, Nx, Ny), never on
@@ -38,7 +36,7 @@
 // per-series loop on one engine.
 //
 // Usage: bench_serving [--datasets ECG,JPVOW] [--cap N] [--batch 256]
-//                      [--repeats 3] [--csv serving.csv]
+//                      [--repeats 3] [--nodes 30] [--lanes 8]
 #include <unistd.h>
 
 #include <algorithm>
@@ -214,13 +212,12 @@ struct FleetResult {
 };
 
 /// One fleet sweep: `num_models` ids (cycling `files`) through a fresh
-/// ArtifactStore in `mode`, cold pass then warm pass, VmRSS delta around
-/// the cold pass.
+/// ArtifactStore, cold pass then warm pass, VmRSS delta around the cold
+/// pass.
 FleetResult run_fleet(serve::ModelRegistry& registry,
                       const std::vector<std::string>& files,
-                      std::size_t num_models, serve::LoadMode mode) {
-  serve::ArtifactStore store(registry,
-                             serve::ArtifactStoreConfig{.mode = mode});
+                      std::size_t num_models) {
+  serve::ArtifactStore store(registry);
   std::vector<std::string> ids;
   ids.reserve(num_models);
   for (std::size_t m = 0; m < num_models; ++m) {
@@ -247,7 +244,7 @@ FleetResult run_fleet(serve::ModelRegistry& registry,
   result.warm_us = summarize(warm);
   result.rss_delta_mb =
       static_cast<double>(rss_after - std::min(rss_before, rss_after)) / 1024.0;
-  // Tear the fleet down before the next mode measures its own RSS delta.
+  // Tear the fleet down before the next sweep measures its own RSS delta.
   for (const std::string& id : ids) store.erase(id);
   return result;
 }
@@ -282,7 +279,6 @@ int main(int argc, char** argv) {
   CliParser cli("bench_serving",
                 "streaming-engine latency percentiles and batch throughput");
   add_scale_options(cli);
-  add_csv_option(cli, "serving.csv");
   cli.add_option("nodes", "virtual nodes Nx", "30");
   cli.add_option("batch", "batch size for throughput runs", "256");
   cli.add_option("repeats", "latency passes over the batch", "3");
@@ -304,8 +300,8 @@ int main(int argc, char** argv) {
   const std::size_t lanes = std::clamp<std::size_t>(
       cli.get_u64("lanes"), 1, dfr::simd::kBatchedMaxLanes);
   const unsigned ncores = dfr::hardware_threads();
-  // Oversubscribed rows on small hosts are noise, not data (satellite of the
-  // perf-trajectory fix): mark them instead of timing them.
+  // Oversubscribed rows on small hosts are noise, not data: mark them
+  // instead of timing them.
   const auto skip_marker = [&](unsigned want) {
     return (ncores < 4 && want > ncores)
                ? "skipped(ncores=" + std::to_string(ncores) + ")"
@@ -327,13 +323,8 @@ int main(int argc, char** argv) {
       {"dataset", "datapath", "threads", "series/s", "speedup"});
   ConsoleTable server_table({"dataset", "models", "workers", "req/s",
                              "p50 us", "p90 us", "p99 us"});
-  ConsoleTable fleet_table({"dataset", "mode", "models", "cold p50 us",
-                            "warm p50 us", "rss_delta_mb"});
-  // load_p50_us / resident_mb are filled by the fleet rows, shed_frac by the
-  // shed-deadline row; every other row carries zeros in those columns.
-  BenchCsv csv(cli, {"dataset", "datapath", "threads", "batch", "p50_us",
-                     "p90_us", "p99_us", "serial_sps", "batch_sps", "speedup",
-                     "load_p50_us", "resident_mb", "shed_frac"});
+  ConsoleTable fleet_table(
+      {"dataset", "row", "cold p50 us", "warm p50 us", "rss_delta_mb"});
   std::vector<std::string> shed_lines;  // printed after the tables
 
   for (const DatasetSpec& spec : specs) {
@@ -401,11 +392,6 @@ int main(int argc, char** argv) {
         if (!marker.empty()) {
           throughput_table.add_row(
               {spec.id, dp.name, std::to_string(threads), marker, marker});
-          csv.add_row({spec.id, dp.name, std::to_string(threads),
-                       std::to_string(batch.size()), fmt_double(lat.p50, 2),
-                       fmt_double(lat.p90, 2), fmt_double(lat.p99, 2),
-                       fmt_double(dp.stream.serial_sps, 1), marker, marker,
-                       "0", "0", "0"});
           continue;
         }
         // Untimed warm-up: the first threaded run pays the lazy creation of
@@ -418,11 +404,6 @@ int main(int argc, char** argv) {
         const double speedup = sps / dp.stream.serial_sps;
         throughput_table.add_row({spec.id, dp.name, std::to_string(threads),
                                   fmt_double(sps, 0), fmt_double(speedup, 2)});
-        csv.add_row({spec.id, dp.name, std::to_string(threads),
-                     std::to_string(batch.size()), fmt_double(lat.p50, 2),
-                     fmt_double(lat.p90, 2), fmt_double(lat.p99, 2),
-                     fmt_double(dp.stream.serial_sps, 1), fmt_double(sps, 1),
-                     fmt_double(speedup, 3), "0", "0", "0"});
       }
     }
 
@@ -460,11 +441,6 @@ int main(int argc, char** argv) {
                                   "1x" + std::to_string(lanes) + "lanes",
                                   fmt_double(row.stream.serial_sps, 0),
                                   fmt_double(batch_speedup, 2)});
-        csv.add_row({spec.id, row.name, "1", std::to_string(lanes),
-                     fmt_double(lat.p50, 2), fmt_double(lat.p90, 2),
-                     fmt_double(lat.p99, 2), fmt_double(row.baseline_sps, 1),
-                     fmt_double(row.stream.serial_sps, 1),
-                     fmt_double(batch_speedup, 3), "0", "0", "0"});
       }
     }
 
@@ -500,12 +476,6 @@ int main(int argc, char** argv) {
             server_table.add_row(
                 {spec.id, std::to_string(num_models) + kind.suffix,
                  std::to_string(workers), marker, marker, marker, marker});
-            csv.add_row({spec.id,
-                         "server-" + std::to_string(num_models) + "m" +
-                             kind.suffix,
-                         std::to_string(workers), std::to_string(batch.size()),
-                         marker, marker, marker, "0", marker, "0", "0", "0",
-                         "0"});
           }
           continue;
         }
@@ -537,32 +507,14 @@ int main(int argc, char** argv) {
                fmt_double(batched_run.latency_us.p50, 1),
                fmt_double(batched_run.latency_us.p90, 1),
                fmt_double(batched_run.latency_us.p99, 1)});
-          csv.add_row({spec.id,
-                       "server-" + std::to_string(num_models) + "m" +
-                           kind.suffix,
-                       std::to_string(workers), std::to_string(batch.size()),
-                       fmt_double(run.latency_us.p50, 2),
-                       fmt_double(run.latency_us.p90, 2),
-                       fmt_double(run.latency_us.p99, 2), "0",
-                       fmt_double(run.requests_per_s, 1), "0", "0", "0", "0"});
-          csv.add_row({spec.id,
-                       "server-batched-" + std::to_string(num_models) + "m" +
-                           kind.suffix,
-                       std::to_string(workers), std::to_string(batch.size()),
-                       fmt_double(batched_run.latency_us.p50, 2),
-                       fmt_double(batched_run.latency_us.p90, 2),
-                       fmt_double(batched_run.latency_us.p99, 2), "0",
-                       fmt_double(batched_run.requests_per_s, 1), "0", "0",
-                       "0", "0"});
         }
       }
     }
 
     // Model-fleet sweep through the ArtifactStore: N ids (cycling 16
-    // distinct .dfrm v2 files) cold-faulted then warm-hit, zero-copy mmap
-    // vs the copying loader. The cold-sweep VmRSS delta is the headline
-    // zero-copy number: mmap loads touch only the pages validation reads,
-    // the copying loader heap-allocates every weight per id.
+    // distinct .dfrm v2 files) cold-faulted then warm-hit. The cold-sweep
+    // VmRSS delta is the mapped pages (the store asks the kernel to page
+    // each mapping in ahead of first use); no id heap-allocates weights.
     {
       std::error_code ec;
       const std::filesystem::path dir =
@@ -572,30 +524,13 @@ int main(int argc, char** argv) {
       const std::vector<std::string> files =
           write_fleet_files(dir, data.test, nodes, options.seed, 16);
       serve::ModelRegistry fleet_registry;
-      struct ModeRow {
-        const char* name;
-        serve::LoadMode mode;
-      };
-      const ModeRow modes[] = {{"mmap", serve::LoadMode::kMmap},
-                               {"copy", serve::LoadMode::kCopy}};
       for (std::size_t num_models : {16u, 256u, 1024u}) {
-        for (const ModeRow& m : modes) {
-          const FleetResult fleet =
-              run_fleet(fleet_registry, files, num_models, m.mode);
-          fleet_table.add_row({spec.id, m.name, std::to_string(num_models),
-                               fmt_double(fleet.cold_us.p50, 1),
-                               fmt_double(fleet.warm_us.p50, 2),
-                               fmt_double(fleet.rss_delta_mb, 2)});
-          csv.add_row({spec.id,
-                       "fleet-" + std::string(m.name) + "-" +
-                           std::to_string(num_models) + "m",
-                       "1", std::to_string(num_models),
-                       fmt_double(fleet.warm_us.p50, 2),
-                       fmt_double(fleet.warm_us.p90, 2),
-                       fmt_double(fleet.warm_us.p99, 2), "0", "0", "0",
-                       fmt_double(fleet.cold_us.p50, 2),
-                       fmt_double(fleet.rss_delta_mb, 3), "0"});
-        }
+        const FleetResult fleet = run_fleet(fleet_registry, files, num_models);
+        fleet_table.add_row({spec.id,
+                             "fleet-" + std::to_string(num_models) + "m",
+                             fmt_double(fleet.cold_us.p50, 1),
+                             fmt_double(fleet.warm_us.p50, 2),
+                             fmt_double(fleet.rss_delta_mb, 2)});
       }
       std::filesystem::remove_all(dir, ec);
     }
@@ -603,8 +538,7 @@ int main(int argc, char** argv) {
     // Offered-deadline shed: one worker, every request submitted with a
     // deadline a few single-stream service times wide, so most of the
     // queue cannot make it. The server sheds late requests with typed
-    // kDeadlineExceeded before spending engine time on them; the fraction
-    // shed rides in the CSV shed_frac column.
+    // kDeadlineExceeded before spending engine time on them.
     {
       serve::ModelRegistry shed_registry;
       shed_registry.register_model(model.artifact("shed"));
@@ -619,29 +553,23 @@ int main(int argc, char** argv) {
         futures.push_back(shed_server.submit("shed", series, shed_opts));
       }
       std::size_t shed = 0;
-      Vector completed_us;
+      std::size_t completed = 0;
       for (serve::InferFuture& future : futures) {
-        const serve::InferResult& r = future.get();
-        if (r.status == serve::RequestStatus::kDeadlineExceeded) {
+        const serve::RequestStatus status = future.get().status;
+        if (status == serve::RequestStatus::kDeadlineExceeded) {
           ++shed;
-        } else if (r.status == serve::RequestStatus::kOk) {
-          completed_us.push_back(r.latency_us);
+        } else if (status == serve::RequestStatus::kOk) {
+          ++completed;
         }
       }
       const double frac =
           static_cast<double>(shed) / static_cast<double>(futures.size());
-      const Summary lat =
-          completed_us.empty() ? Summary{} : summarize(completed_us);
       shed_lines.push_back(
           "shed-deadline (" + spec.id + "): offered=" +
           std::to_string(futures.size()) + " completed=" +
-          std::to_string(completed_us.size()) + " shed=" +
+          std::to_string(completed) + " shed=" +
           std::to_string(shed) + " shed_frac=" + fmt_double(frac, 2) +
           " deadline_us=" + std::to_string(shed_opts.deadline_us));
-      csv.add_row({spec.id, "shed-deadline", "1", std::to_string(batch.size()),
-                   fmt_double(lat.p50, 2), fmt_double(lat.p90, 2),
-                   fmt_double(lat.p99, 2), "0", "0", "0", "0", "0",
-                   fmt_double(frac, 3)});
     }
   }
 
@@ -662,6 +590,5 @@ int main(int argc, char** argv) {
   fleet_table.print();
   std::cout << "\nSLO-aware admission (deadline shed before engine time):\n";
   for (const std::string& line : shed_lines) std::cout << line << '\n';
-  csv.report();
   return 0;
 }

@@ -170,22 +170,16 @@ void ArtifactStore::add(std::string id, std::string path) {
 ModelArtifactPtr ArtifactStore::fault_in_locked(const std::string& id,
                                                 Entry& entry) {
   Timer timer;
-  ModelArtifactPtr artifact;
-  std::size_t bytes = 0;
-  if (config_.mode == LoadMode::kMmap) {
-    artifact = load_artifact_mmap(entry.path, id);
-    // mmap-backed artifacts account the whole mapping; v1 fallbacks own
-    // their weights.
-    const auto mapping = mapping_of(*artifact);
-    bytes = mapping != nullptr ? mapping->size()
-                               : owned_weight_bytes(*artifact);
-    // Ask the kernel for the whole mapping ahead of first touch, so the
-    // page-in cost is paid here instead of inside the first inference.
-    if (mapping != nullptr) mapping->advise_willneed();
-  } else {
-    artifact = load_artifact(entry.path, id);
-    bytes = owned_weight_bytes(*artifact);
-  }
+  ModelArtifactPtr artifact = load_artifact_mmap(entry.path, id);
+  // mmap-backed artifacts account the whole mapping; v1 fallbacks own
+  // their weights.
+  const auto mapping = mapping_of(*artifact);
+  const std::size_t bytes = mapping != nullptr
+                                ? mapping->size()
+                                : owned_weight_bytes(*artifact);
+  // Ask the kernel for the whole mapping ahead of first touch, so the
+  // page-in cost is paid here instead of inside the first inference.
+  if (mapping != nullptr) mapping->advise_willneed();
   const double load_us = static_cast<double>(timer.elapsed_ns()) * 1e-3;
   if (config_.load_window > 0) {
     if (load_us_.size() < config_.load_window) {

@@ -110,20 +110,14 @@ class MappedFile {
 [[nodiscard]] ModelArtifactPtr load_artifact_mmap(const std::string& path,
                                                   std::string name = {});
 
-/// How ArtifactStore materializes artifacts on a fault.
-enum class LoadMode {
-  kMmap,  // zero-copy for v2 files, copying for v1 (default)
-  kCopy,  // always the copying loader (baseline / comparison)
-};
-
 struct ArtifactStoreConfig {
-  /// Bound on summed resident artifact bytes (mapped file size for mmap
-  /// artifacts, owned weight bytes for copied ones). Faulting a model in
-  /// evicts least-recently-used models until the total fits. 0 = unbounded.
-  /// A single artifact larger than the bound still loads (everything else
-  /// is evicted first); serving it is better than refusing.
+  /// Bound on summed resident artifact bytes (mapped file size for v2
+  /// artifacts, owned weight bytes for v1 ones, which load_artifact_mmap
+  /// copies). Faulting a model in evicts least-recently-used models until
+  /// the total fits. 0 = unbounded. A single artifact larger than the bound
+  /// still loads (everything else is evicted first); serving it is better
+  /// than refusing.
   std::size_t max_resident_bytes = 0;
-  LoadMode mode = LoadMode::kMmap;
   /// Recent load-latency samples kept for the load_p50 stat.
   std::size_t load_window = 128;
   /// Learn a first-order successor model over get() ids and fault the

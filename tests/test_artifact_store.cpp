@@ -67,7 +67,6 @@ using serve::ArtifactStore;
 using serve::ArtifactStoreConfig;
 using serve::InferenceServer;
 using serve::InferResult;
-using serve::LoadMode;
 using serve::ModelRegistry;
 using serve::RequestStatus;
 
@@ -402,11 +401,10 @@ TEST_F(ArtifactStoreTest, EraseEvictsAndStopsTracking) {
   EXPECT_FALSE(store.erase("a"));
 }
 
-TEST_F(ArtifactStoreTest, CopyModeAccountsOwnedWeights) {
+TEST_F(ArtifactStoreTest, V1FallbackAccountsOwnedWeights) {
   ModelRegistry registry;
-  ArtifactStore store(registry,
-                      ArtifactStoreConfig{.mode = LoadMode::kCopy});
-  store.add("a", path_v2_);
+  ArtifactStore store(registry);
+  store.add("a", path_v1_);
   const ModelArtifactPtr artifact = store.get("a");
   ASSERT_NE(artifact, nullptr);
   EXPECT_EQ(artifact->backing, nullptr);
