@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace dfr::bench;
 
   CliParser cli("bench_ablation_optimizer", "optimizer family ablation");
-  add_scale_options(cli);
+  add_scale_options(cli, "JPVOW,CHAR");
   add_csv_option(cli, "ablation_optimizer.csv");
   try {
     cli.parse(argc, argv);
@@ -32,12 +32,7 @@ int main(int argc, char** argv) {
   }
   const ScaleOptions options = read_scale_options(cli);
 
-  std::vector<DatasetSpec> specs;
-  if (cli.get("datasets").empty()) {
-    specs = {*find_spec("JPVOW"), *find_spec("CHAR")};
-  } else {
-    specs = selected_specs(cli);
-  }
+  const std::vector<DatasetSpec> specs = selected_specs(cli);
 
   struct Variant {
     OptimizerKind kind;

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_ablation_representation",
                 "DPRR vs simpler reservoir representations");
-  add_scale_options(cli);
+  add_scale_options(cli, "JPVOW,CHAR,ECG");
   add_csv_option(cli, "ablation_representation.csv");
   try {
     cli.parse(argc, argv);
@@ -34,12 +34,7 @@ int main(int argc, char** argv) {
   }
   const ScaleOptions options = read_scale_options(cli);
 
-  std::vector<DatasetSpec> specs;
-  if (cli.get("datasets").empty()) {
-    specs = {*find_spec("JPVOW"), *find_spec("CHAR"), *find_spec("ECG")};
-  } else {
-    specs = selected_specs(cli);
-  }
+  const std::vector<DatasetSpec> specs = selected_specs(cli);
 
   const RepresentationKind kinds[] = {
       RepresentationKind::kDprr, RepresentationKind::kLastState,

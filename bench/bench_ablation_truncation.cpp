@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_ablation_truncation",
                 "truncation window vs accuracy / time / memory");
-  add_scale_options(cli);
+  // By default two datasets with contrasting series lengths.
+  add_scale_options(cli, "JPVOW,ECG");
   add_csv_option(cli, "ablation_truncation.csv");
   try {
     cli.parse(argc, argv);
@@ -33,13 +34,7 @@ int main(int argc, char** argv) {
   }
   ScaleOptions options = read_scale_options(cli);
 
-  // Default to two datasets with contrasting series lengths.
-  std::vector<DatasetSpec> specs;
-  if (cli.get("datasets").empty()) {
-    specs = {*find_spec("JPVOW"), *find_spec("ECG")};
-  } else {
-    specs = selected_specs(cli);
-  }
+  const std::vector<DatasetSpec> specs = selected_specs(cli);
 
   const std::size_t windows[] = {1, 2, 4, 8, 16, 0};  // 0 = full BPTT
 

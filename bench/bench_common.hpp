@@ -31,23 +31,40 @@ struct ScaleOptions {
                                 // the ParallelOptions convention)
 };
 
-inline void add_scale_options(CliParser& cli) {
+/// --full, --cap, --seed and --datasets: what prepare_dataset and
+/// selected_specs read. CliParser prints each default after its help.
+inline void add_dataset_options(CliParser& cli,
+                                const std::string& default_datasets = "") {
   cli.add_flag("full", "run at full dataset scale (paper sizes; slow)");
   cli.add_option("cap", "per-split sample cap in reduced mode", "200");
   cli.add_option("seed", "master RNG seed", "42");
+  cli.add_option("datasets", "comma-separated dataset ids (empty = all 12)",
+                 default_datasets);
+}
+
+/// The dataset options plus the sweep controls --max-divs and --threads.
+inline void add_scale_options(CliParser& cli,
+                              const std::string& default_datasets = "") {
+  add_dataset_options(cli, default_datasets);
   cli.add_option("max-divs", "grid-escalation bound", "12");
   cli.add_option("threads",
                  "worker threads for grid / feature / restart sweeps "
                  "(0 = all cores; results identical for any value)",
                  "0");
-  cli.add_option("datasets", "comma-separated dataset ids (default: all 12)", "");
 }
 
-inline ScaleOptions read_scale_options(const CliParser& cli) {
+/// The fields add_dataset_options registers; the sweep fields keep their
+/// defaults.
+inline ScaleOptions read_dataset_options(const CliParser& cli) {
   ScaleOptions options;
   options.full = cli.get_flag("full");
   options.cap = cli.get_u64("cap");
   options.seed = cli.get_u64("seed");
+  return options;
+}
+
+inline ScaleOptions read_scale_options(const CliParser& cli) {
+  ScaleOptions options = read_dataset_options(cli);
   options.max_divs = cli.get_u64("max-divs");
   options.threads = static_cast<unsigned>(cli.get_u64("threads"));
   return options;

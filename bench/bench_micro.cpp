@@ -8,6 +8,7 @@
 //     every backend this host and build can run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 
 #include "data/synth.hpp"
@@ -102,20 +103,21 @@ void BM_BackpropTruncated(benchmark::State& state) {
 BENCHMARK(BM_BackpropTruncated)->RangeMultiplier(4)->Range(64, 1024)->Complexity();
 
 void BM_DprrAccumulate(benchmark::State& state) {
+  // One step through the accumulator's ring: the state is written into
+  // next() and committed, and every kBlockSteps commits run one block.
   const auto nx = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
-  Vector x(nx), x_prev(nx);
-  for (std::size_t n = 0; n < nx; ++n) {
-    x[n] = rng.normal();
-    x_prev[n] = rng.normal();
-  }
+  Vector x(nx);
+  for (double& v : x) v = rng.normal();
   DprrAccumulator acc(nx);
   for (auto _ : state) {
-    acc.add(x, x_prev);
-    benchmark::DoNotOptimize(acc.features().data());
+    std::copy(x.begin(), x.end(), acc.next().begin());
+    acc.commit();
+    benchmark::ClobberMemory();
   }
+  benchmark::DoNotOptimize(acc.features().data());
 }
-BENCHMARK(BM_DprrAccumulate)->Arg(10)->Arg(30)->Arg(100);
+BENCHMARK(BM_DprrAccumulate)->Arg(10)->Arg(30)->Arg(100)->Arg(300);
 
 void BM_MaskApply(benchmark::State& state) {
   Rng rng(5);
@@ -170,32 +172,37 @@ BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
 
 // ---- serving kernel ledger ---------------------------------------------------
 // One row per simd::Kernels entry x available backend x shape, named
-// BM_Kernel/<entry>/<backend>/nx:<Nx>[/lanes:<lanes>]. Each iteration is the
-// call one reservoir step makes: single-series entries at Nx in {10, 30, 100},
-// batched entries at Nx = 30 over lanes in {1, 3, 8, 16}. items_per_second
-// counts series-steps, so single-series and batched rows compare directly.
-// Only the Kernels API is used, so the file builds against any commit that
-// has it and rows compare across builds.
+// BM_Kernel/<entry>/<backend>/nx:<Nx>[/lanes:<lanes>][/steps:<steps>]. Each
+// iteration is the call one reservoir step makes, or for the DPRR block
+// entries the call one block of `steps` steps makes: single-series entries
+// at Nx in {10, 30, 100, 300}, the block entries at steps 1 and
+// DprrAccumulator::kBlockSteps, batched entries at Nx = 30 over lanes in
+// {1, 3, 8, 16}. items_per_second counts series-steps, so every row compares
+// directly.
 
-/// Random operands for one step at (nx, lanes); state buffers are SoA
-/// (nx * lanes), r is the DPRR accumulator (dprr_dim(nx) * lanes).
+/// Random operands for one call at (nx, lanes, steps); state buffers are SoA
+/// (nx * lanes), `states` holds steps + 1 rows of nx, and r is the DPRR
+/// accumulator (dprr_dim(nx) * lanes).
 struct KernelBuffers {
   static constexpr std::size_t kChannels = 2;
-  std::size_t nx, lanes;
+  std::size_t nx, lanes, steps;
   Nonlinearity f;  // the default kind, as in the synthetic serving models
   FixedPointFormat fmt{4, 11};
-  Vector j, x_prev, x_k, out, r, weights, u;
+  Vector j, x_prev, x_k, out, r, weights, u, states;
 
-  KernelBuffers(std::size_t nodes, std::size_t lane_count)
+  KernelBuffers(std::size_t nodes, std::size_t lane_count,
+                std::size_t step_count)
       : nx(nodes),
         lanes(lane_count),
+        steps(step_count),
         j(random_vector(nodes * lane_count, 1)),
         x_prev(random_vector(nodes * lane_count, 2)),
         x_k(random_vector(nodes * lane_count, 3)),
         out(nodes * lane_count, 0.0),
         r(dprr_dim(nodes) * lane_count, 0.0),
         weights(random_vector(nodes * kChannels, 4)),
-        u(random_vector(kChannels * lane_count, 5)) {}
+        u(random_vector(kChannels * lane_count, 5)),
+        states(random_vector((step_count + 1) * nodes, 6)) {}
 
   static Vector random_vector(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
@@ -205,69 +212,71 @@ struct KernelBuffers {
   }
 };
 
-/// One Kernels entry: runs its per-step call and returns the buffer it wrote.
-/// The chain entries pass b = 0 so the in-place state stays the same from one
+/// One Kernels entry: runs its call and returns the buffer it wrote. The
+/// chain entries pass b = 0 so the in-place state stays the same from one
 /// iteration to the next; their cost does not depend on b.
 struct LedgerEntry {
+  enum class Shape { kSingle, kBlock, kBatched };
   const char* name;
-  bool batched;
+  Shape shape;
   double* (*run)(const simd::Kernels& k, KernelBuffers& b);
 };
 
 constexpr double kA = 0.5;
+using Shape = LedgerEntry::Shape;
 
 const LedgerEntry kLedger[] = {
-    {"preadd_nonlin", false,
+    {"preadd_nonlin", Shape::kSingle,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.preadd_nonlin(b.f, kA, b.j.data(), b.x_prev.data(), b.out.data(),
                        b.nx);
        return b.out.data();
      }},
-    {"dprr_add", false,
+    {"dprr_block", Shape::kBlock,
      [](const simd::Kernels& k, KernelBuffers& b) {
-       k.dprr_add(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx);
+       k.dprr_block(b.r.data(), b.states.data(), b.steps, b.nx);
        return b.r.data();
      }},
-    {"scale_quantize", false,
+    {"scale_quantize", Shape::kSingle,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.scale_quantize(b.fmt, 1.0, b.j.data(), b.nx);
        return b.j.data();
      }},
-    {"quant_preadd_nonlin", false,
+    {"quant_preadd_nonlin", Shape::kSingle,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.quant_preadd_nonlin(b.f, kA, b.fmt, b.j.data(), b.x_prev.data(),
                              b.out.data(), b.nx);
        return b.out.data();
      }},
-    {"dprr_add_exact", false,
+    {"dprr_block_exact", Shape::kBlock,
      [](const simd::Kernels& k, KernelBuffers& b) {
-       k.dprr_add_exact(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx);
+       k.dprr_block_exact(b.r.data(), b.states.data(), b.steps, b.nx);
        return b.r.data();
      }},
-    {"batched_bchain", true,
+    {"batched_bchain", Shape::kBatched,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.batched_bchain(0.0, b.x_prev.data(), b.out.data(), b.nx, b.lanes);
        return b.out.data();
      }},
-    {"batched_quant_bchain", true,
+    {"batched_quant_bchain", Shape::kBatched,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.batched_quant_bchain(0.0, b.fmt, b.x_prev.data(), b.out.data(), b.nx,
                               b.lanes);
        return b.out.data();
      }},
-    {"batched_dprr_add", true,
+    {"batched_dprr_add", Shape::kBatched,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.batched_dprr_add(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx,
                           b.lanes);
        return b.r.data();
      }},
-    {"batched_dprr_add_exact", true,
+    {"batched_dprr_add_exact", Shape::kBatched,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.batched_dprr_add_exact(b.r.data(), b.x_k.data(), b.x_prev.data(),
                                 b.nx, b.lanes);
        return b.r.data();
      }},
-    {"batched_mask", true,
+    {"batched_mask", Shape::kBatched,
      [](const simd::Kernels& k, KernelBuffers& b) {
        k.batched_mask(b.weights.data(), b.nx, KernelBuffers::kChannels,
                       b.u.data(), b.j.data(), b.lanes);
@@ -281,27 +290,45 @@ void register_kernel_ledger() {
         simd::Backend::kAvx512}) {
     if (!simd::backend_available(backend)) continue;
     for (const LedgerEntry& entry : kLedger) {
-      const auto add = [&entry, backend](std::size_t nx, std::size_t lanes) {
+      const auto add = [&entry, backend](std::size_t nx, std::size_t lanes,
+                                         std::size_t steps) {
         std::string name = std::string("BM_Kernel/") + entry.name + "/" +
                            simd::backend_name(backend) +
                            "/nx:" + std::to_string(nx);
-        if (entry.batched) name += "/lanes:" + std::to_string(lanes);
-        const auto run = [&entry, backend, nx, lanes](benchmark::State& state) {
+        if (entry.shape == Shape::kBatched) {
+          name += "/lanes:" + std::to_string(lanes);
+        }
+        if (entry.shape == Shape::kBlock) {
+          name += "/steps:" + std::to_string(steps);
+        }
+        const auto run = [&entry, backend, nx, lanes,
+                          steps](benchmark::State& state) {
           const simd::Kernels& kernels = simd::kernels_for(backend);
-          KernelBuffers buffers(nx, lanes);
+          KernelBuffers buffers(nx, lanes, steps);
           for (auto _ : state) {
             benchmark::DoNotOptimize(entry.run(kernels, buffers));
             benchmark::ClobberMemory();
           }
           state.SetItemsProcessed(state.iterations() *
-                                  static_cast<std::int64_t>(lanes));
+                                  static_cast<std::int64_t>(lanes * steps));
         };
         benchmark::RegisterBenchmark(name.c_str(), run);
       };
-      if (entry.batched) {
-        for (std::size_t lanes : {1, 3, 8, 16}) add(30, lanes);
-      } else {
-        for (std::size_t nx : {10, 30, 100}) add(nx, 1);
+      for (std::size_t nx : {10, 30, 100, 300}) {
+        switch (entry.shape) {
+          case Shape::kSingle:
+            add(nx, 1, 1);
+            break;
+          case Shape::kBlock:
+            add(nx, 1, 1);
+            add(nx, 1, DprrAccumulator::kBlockSteps);
+            break;
+          case Shape::kBatched:
+            if (nx == 30) {
+              for (std::size_t lanes : {1, 3, 8, 16}) add(nx, lanes, 1);
+            }
+            break;
+        }
       }
     }
   }

@@ -35,8 +35,8 @@
 // column reports batch `classify_batch` throughput relative to a serial
 // per-series loop on one engine.
 //
-// Usage: bench_serving [--datasets ECG,JPVOW] [--cap N] [--batch 256]
-//                      [--repeats 3] [--nodes 30] [--lanes 8]
+// Usage: bench_serving [--datasets ECG,JPVOW] [--cap 200] [--seed 42] [--full]
+//                      [--batch 256] [--repeats 3] [--nodes 30] [--lanes 8]
 #include <unistd.h>
 
 #include <algorithm>
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
 
   CliParser cli("bench_serving",
                 "streaming-engine latency percentiles and batch throughput");
-  add_scale_options(cli);
+  add_dataset_options(cli, "ECG,JPVOW");
   cli.add_option("nodes", "virtual nodes Nx", "30");
   cli.add_option("batch", "batch size for throughput runs", "256");
   cli.add_option("repeats", "latency passes over the batch", "3");
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
     std::cout << cli.help_text();
     return 0;
   }
-  const ScaleOptions options = read_scale_options(cli);
+  const ScaleOptions options = read_dataset_options(cli);
   const std::size_t nodes = cli.get_u64("nodes");
   const std::size_t batch_size = cli.get_u64("batch");
   const std::size_t repeats = std::max<std::size_t>(1, cli.get_u64("repeats"));
@@ -308,12 +308,7 @@ int main(int argc, char** argv) {
                : std::string();
   };
 
-  std::vector<DatasetSpec> specs;
-  if (cli.get("datasets").empty()) {
-    specs = {*find_spec("ECG"), *find_spec("JPVOW")};
-  } else {
-    specs = selected_specs(cli);
-  }
+  const std::vector<DatasetSpec> specs = selected_specs(cli);
 
   const unsigned thread_sweep[] = {1, 2, 4, 8};
 

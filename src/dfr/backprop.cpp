@@ -129,19 +129,19 @@ TruncatedForward run_forward_truncated(const ModularReservoir& reservoir,
   DFR_CHECK_MSG(window >= 1, "window must be at least 1");
   const std::size_t kept = std::min(window, t_len);
 
-  // Ring buffers: kept+1 state rows, kept masked-input rows.
-  Matrix state_ring(kept + 1, nx);  // starts as x(0)=0 in every slot
+  // Ring buffers: kept+1 state rows (x(k) in slot k % (kept+1), x(0) = 0 in
+  // slot 0), kept masked-input rows. The reservoir steps into the DPRR
+  // accumulator's own ring; the tail ring keeps a copy of each state.
+  Matrix state_ring(kept + 1, nx);
   Matrix j_ring(kept, nx);
   DprrAccumulator dprr(nx);
-
-  std::size_t cur = 0;  // ring slot holding x(k-1)
   for (std::size_t k = 0; k < t_len; ++k) {
-    const std::size_t next = (cur + 1) % (kept + 1);
     const Vector j_row = mask.apply(series.row(k));
-    reservoir.step(params, j_row, state_ring.row(cur), state_ring.row(next));
-    dprr.add(state_ring.row(next), state_ring.row(cur));
+    const std::span<double> x_k = dprr.next();
+    reservoir.step(params, j_row, dprr.previous(), x_k);
+    state_ring.set_row((k + 1) % (kept + 1), x_k);
+    dprr.commit();
     j_ring.set_row(k % kept, j_row);
-    cur = next;
   }
 
   // Unroll the rings into chronologically ordered tail matrices.
@@ -151,11 +151,8 @@ TruncatedForward run_forward_truncated(const ModularReservoir& reservoir,
   out.tail_states.resize(kept + 1, nx);
   out.tail_j.resize(kept, nx);
   for (std::size_t i = 0; i <= kept; ++i) {
-    // Row i should be x(T-kept+i); slot of x(k) is k % (kept+1) offset from cur.
-    const std::size_t k = t_len - kept + i;
-    const std::size_t slot =
-        (cur + (kept + 1) - (t_len - k) % (kept + 1)) % (kept + 1);
-    out.tail_states.set_row(i, state_ring.row(slot));
+    const std::size_t k = t_len - kept + i;  // row i is x(k)
+    out.tail_states.set_row(i, state_ring.row(k % (kept + 1)));
   }
   for (std::size_t i = 0; i < kept; ++i) {
     const std::size_t k = t_len - kept + i;  // 0-based index of j(k+1)

@@ -67,8 +67,10 @@ struct TruncatedForward {
   Matrix tail_j;        // min(window,T) x Nx:     j(T-w+1)..j(T)
   std::size_t steps = 0;  // T
 
-  /// Reservoir-state values held at any point during the pass (the Table-2
-  /// "reservoir state" component): (window+1)*Nx, or (T+1)*Nx if T < window.
+  /// Reservoir-state values the method keeps (the Table-2 "reservoir state"
+  /// component): (window+1)*Nx, or (T+1)*Nx if T < window. The DPRR
+  /// accumulator's block ring ((DprrAccumulator::kBlockSteps+1)*Nx, fixed in
+  /// T) is an implementation buffer on top and is not counted.
   [[nodiscard]] std::size_t stored_state_values() const noexcept {
     return tail_states.size();
   }

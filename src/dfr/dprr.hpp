@@ -10,8 +10,19 @@
 // i.e. r = vec( sum_k x(k) [x(k-1), 1]^T ). The accumulator form needs only
 // the current and previous states, which is what makes the paper's truncated
 // backprop (and O(Nx) streaming inference) possible.
+//
+// Both entry points run the time-blocked kernel of serve/simd_kernels.hpp
+// (DprrBlockFn), which accumulates several consecutive steps per call with a
+// tile of r held in registers. DprrAccumulator keeps a ring of the last
+// kBlockSteps + 1 states to feed it: a fixed O(Nx) buffer, bigger than the
+// two rows the method needs, that buys one load and store of r per block
+// instead of per step. The result is bit-identical to one kernel call per
+// step for any blocking.
+
+#include <span>
 
 #include "linalg/matrix.hpp"
+#include "serve/simd_kernels.hpp"
 
 namespace dfr {
 
@@ -33,33 +44,68 @@ namespace dfr {
   return 1.0 / static_cast<double>(t_len);
 }
 
-/// Batch computation from a full state trajectory ((T+1) x Nx, row 0 = x(0)).
+/// Batch computation from a full state trajectory ((T+1) x Nx, row 0 = x(0)),
+/// exact rounding on the active backend.
 [[nodiscard]] Vector dprr_from_states(const Matrix& states);
 
-/// Streaming accumulator: feed (x(k), x(k-1)) pairs in order.
+/// The DPRR accumulate's rounding. kExact multiplies, then adds: two
+/// roundings per accumulate, the definition above, bit-identical on every
+/// backend. kFloat fuses each r + x*y into one FMA rounding: the SIMD float
+/// serving datapath, within simd::simd_feature_ulp_bound of kExact. The
+/// scalar backend has no FMA kernel and rounds twice under both.
+enum class DprrRounding { kExact, kFloat };
+
+/// Streaming accumulator over one series at a time. A caller either steps
+/// its reservoir straight into the ring (previous() -> next(), then
+/// commit()) or hands in states it holds elsewhere (add). Storage is
+/// allocated at construction; nothing after it allocates.
 class DprrAccumulator {
  public:
-  explicit DprrAccumulator(std::size_t nx);
+  /// Steps per kernel call: the ring holds kBlockSteps + 1 states. Chosen
+  /// from the kernel ledger (BM_Kernel/dprr_block*, see README).
+  static constexpr std::size_t kBlockSteps = 32;
 
-  /// Accumulate one step's contribution.
+  /// Exact rounding on the active backend unless told otherwise; an explicit
+  /// backend follows simd::kernels_for (throws CheckError when unavailable).
+  explicit DprrAccumulator(std::size_t nx,
+                           DprrRounding rounding = DprrRounding::kExact,
+                           simd::Backend backend = simd::active_backend());
+
+  /// x(k-1): the last committed state, x(0) = 0 after construction or reset.
+  [[nodiscard]] std::span<const double> previous() const noexcept {
+    return {ring_.data() + pending_ * nx_, nx_};
+  }
+
+  /// The row to write x(k) into before commit(). Distinct from previous().
+  [[nodiscard]] std::span<double> next() noexcept {
+    return {ring_.data() + (pending_ + 1) * nx_, nx_};
+  }
+
+  /// Accumulate x(k) [x(k-1), 1]^T for the state just written to next(); a
+  /// full ring goes to the kernel as one block.
+  void commit() noexcept;
+
+  /// Accumulate one step from states held elsewhere. x_km1 normally equals
+  /// the previous call's x_k; when it does not (bitwise), the pending block
+  /// is flushed and x_km1 heads a new one, so any sequence of pairs is
+  /// accumulated exactly.
   void add(std::span<const double> x_k, std::span<const double> x_km1);
 
-  [[nodiscard]] const Vector& features() const noexcept { return r_; }
-  [[nodiscard]] std::size_t nx() const noexcept { return nx_; }
+  /// r over every committed step (flushes a partial block first).
+  [[nodiscard]] const Vector& features() noexcept;
   [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
 
-  /// Mutable storage for external accumulation kernels (the SIMD datapath's
-  /// vectorized row update writes r directly). A caller that accumulates one
-  /// step's contribution this way must pair it with count_step() so steps()
-  /// stays truthful.
-  [[nodiscard]] std::span<double> raw() noexcept { return r_; }
-  void count_step() noexcept { ++steps_; }
-
+  /// Start over: r = 0, x(0) = 0, no steps.
   void reset() noexcept;
 
  private:
+  void flush() noexcept;
+
   std::size_t nx_;
   std::size_t steps_ = 0;
+  std::size_t pending_ = 0;  // committed steps not in r_: ring rows 1..pending_
+  simd::DprrBlockFn block_;
+  Vector ring_;  // (kBlockSteps + 1) x nx; row 0 = x(k0-1) of the pending block
   Vector r_;
 };
 

@@ -148,14 +148,6 @@ void SimdFloatDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdFloatDatapath::dprr_add(DprrAccumulator& acc,
-                                 std::span<const double> x_k,
-                                 std::span<const double> x_km1) const {
-  DFR_DCHECK(x_k.size() == acc.nx() && x_km1.size() == acc.nx());
-  kernels_->dprr_add(acc.raw().data(), x_k.data(), x_km1.data(), acc.nx());
-  acc.count_step();
-}
-
 void SimdFloatDatapath::finalize(Vector& r, std::size_t t_len) const {
   scale(r, dprr_time_scale(t_len));  // time-averaged DPRR (see dprr.hpp)
 }
@@ -211,17 +203,6 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
     prev_node = state_format_.quantize(value);
     x_out[n] = prev_node;
   }
-}
-
-void SimdQuantizedDatapath::dprr_add(DprrAccumulator& acc,
-                                     std::span<const double> x_k,
-                                     std::span<const double> x_km1) const {
-  DFR_DCHECK(x_k.size() == acc.nx() && x_km1.size() == acc.nx());
-  // The exact kernel: two roundings per accumulate like DprrAccumulator::add
-  // (never FMA), so quantized features carry no ULP drift to bound.
-  kernels_->dprr_add_exact(acc.raw().data(), x_k.data(), x_km1.data(),
-                           acc.nx());
-  acc.count_step();
 }
 
 void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
@@ -453,33 +434,26 @@ template <InferenceDatapath P>
 BasicEngine<P>::BasicEngine(P datapath)
     : datapath_(std::move(datapath)),
       j_(datapath_.nodes(), 0.0),
-      x_prev_(datapath_.nodes(), 0.0),
-      x_cur_(datapath_.nodes(), 0.0),
       r_(dprr_dim(datapath_.nodes()), 0.0),
       logits_(datapath_.readout()
                   ? static_cast<std::size_t>(datapath_.readout()->num_classes())
                   : 0,
               0.0),
-      dprr_(datapath_.nodes()) {}
+      dprr_(datapath_.make_accumulator()) {}
 
 template <InferenceDatapath P>
 std::span<const double> BasicEngine<P>::features(const Matrix& series) {
   DFR_CHECK_MSG(series.cols() == datapath_.channels(),
                 "series channel count != mask width");
   DFR_CHECK_MSG(series.rows() >= 1, "series needs at least one time step");
-  std::fill(x_prev_.begin(), x_prev_.end(), 0.0);  // x(0) = 0
-  dprr_.reset();
+  dprr_.reset();  // x(0) = 0
   for (std::size_t k = 0; k < series.rows(); ++k) {
     datapath_.mask_into(series.row(k), j_);
-    datapath_.step(j_, x_prev_, x_cur_);
-    if constexpr (requires { datapath_.dprr_add(dprr_, x_cur_, x_prev_); }) {
-      datapath_.dprr_add(dprr_, x_cur_, x_prev_);  // policy-owned (SIMD) path
-    } else {
-      dprr_.add(x_cur_, x_prev_);
-    }
-    std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
+    datapath_.step(j_, dprr_.previous(), dprr_.next());
+    dprr_.commit();
   }
-  std::copy(dprr_.features().begin(), dprr_.features().end(), r_.begin());
+  const Vector& dprr = dprr_.features();
+  std::copy(dprr.begin(), dprr.end(), r_.begin());
   datapath_.finalize(r_, series.rows());
   return r_;
 }

@@ -10,10 +10,10 @@
 //     j(k) = M u(k)  ->  x(k) = step(j(k), x(k-1))  ->  dprr += x(k) x(k-1)^T
 //     ->  r = finalize(dprr)  ->  logits = W r + b  ->  argmax
 //
-// — over per-engine scratch buffers (two Nx state rows ping-ponged through
-// the reservoir step, a reused DprrAccumulator, a logits buffer), so classify
-// performs ZERO heap allocations in steady state (test_serve.cpp instruments
-// operator new to enforce this).
+// — over per-engine scratch buffers (the DprrAccumulator's state ring, which
+// each reservoir step writes straight into, a masked-input row, a logits
+// buffer), so classify performs ZERO heap allocations in steady state
+// (test_serve.cpp instruments operator new to enforce this).
 //
 // What varies between deployments is captured by a Datapath policy:
 // FloatDatapath executes the exact double-precision arithmetic of the
@@ -21,16 +21,17 @@
 // arithmetic of quantized_dfr.hpp — both bit-identical to the per-series
 // paths they replaced. SimdFloatDatapath runs the same float pipeline
 // through runtime-dispatched vector kernels (serve/simd_kernels.hpp): the
-// preadd/nonlinearity and the Nx²-per-step DPRR row updates vectorize, the
-// serialized B-chain stays a scalar pass, and results match FloatDatapath
-// within the documented ULP contract. SimdQuantizedDatapath does the same
-// for the fixed-point pipeline — vectorized round-to-format on the masked
-// input, quantized preadd + nonlinearity, exact (no-FMA) DPRR row updates,
-// and fused scale+quantize feature finalization — with a STRICTER contract:
-// bit-identical to QuantizedDatapath on every backend (fixed-point rounding
-// is exact; see the quantized contract in simd_kernels.hpp). A policy may
-// optionally provide dprr_add(acc, x_k, x_km1) to own the accumulation
-// step; the engine falls back to DprrAccumulator::add otherwise.
+// preadd/nonlinearity vectorizes, the serialized B-chain stays a scalar
+// pass, and results match FloatDatapath within the documented ULP contract.
+// SimdQuantizedDatapath does the same for the fixed-point pipeline —
+// vectorized round-to-format on the masked input, quantized preadd +
+// nonlinearity, and fused scale+quantize feature finalization — with a
+// STRICTER contract: bit-identical to QuantizedDatapath on every backend
+// (fixed-point rounding is exact; see the quantized contract in
+// simd_kernels.hpp). Every datapath accumulates the DPRR through the same
+// time-blocked kernel; a policy only names its rounding and backend through
+// make_accumulator(): FMA rounding for SimdFloatDatapath, exact for the
+// others, so those three stay bit-identical to the DPRR definition.
 //
 // Ownership: the full-inference datapaths hold a reference-counted
 // ModelArtifactPtr (see model_io.hpp), so an engine keeps its model alive
@@ -60,9 +61,10 @@
 namespace dfr {
 
 /// What a datapath must provide for the shared streaming pipeline: the model
-/// shape, the masked-input transform, one reservoir time step, the feature
-/// finalization (time averaging plus any datapath-specific scaling /
-/// quantization), and an optional readout (null = features-only).
+/// shape, the masked-input transform, one reservoir time step, the DPRR
+/// accumulator (its rounding and backend), the feature finalization (time
+/// averaging plus any datapath-specific scaling / quantization), and an
+/// optional readout (null = features-only).
 template <typename P>
 concept InferenceDatapath =
     requires(const P& p, std::span<const double> in, std::span<double> out,
@@ -71,6 +73,7 @@ concept InferenceDatapath =
       { p.channels() } -> std::convertible_to<std::size_t>;
       { p.mask_into(in, out) };
       { p.step(in, in, out) };
+      { p.make_accumulator() } -> std::same_as<DprrAccumulator>;
       { p.finalize(r, t_len) };
       { p.readout() } -> std::convertible_to<const OutputLayer*>;
     };
@@ -96,6 +99,10 @@ class FloatDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
+  /// Exact rounding on the active backend.
+  [[nodiscard]] DprrAccumulator make_accumulator() const {
+    return DprrAccumulator(nodes());
+  }
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
   /// The owned artifact (null for the borrowing features-only pipeline).
@@ -128,6 +135,10 @@ class QuantizedDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
+  /// Exact rounding on the active backend.
+  [[nodiscard]] DprrAccumulator make_accumulator() const {
+    return DprrAccumulator(nodes());
+  }
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
 
@@ -145,8 +156,9 @@ class QuantizedDatapath {
 
 /// Float datapath over runtime-dispatched SIMD kernels. Executes the same
 /// pipeline as FloatDatapath with the vectorizable stages (masked-input
-/// preadd, nonlinearity, DPRR row updates) routed through
-/// serve/simd_kernels.hpp and the serialized B-chain as a scalar pass.
+/// preadd, nonlinearity) routed through serve/simd_kernels.hpp, the
+/// serialized B-chain as a scalar pass, and the DPRR on its backend's
+/// FMA-rounded block kernel.
 /// Equivalence to FloatDatapath is governed by the ULP contract documented
 /// in simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound
 /// on finalized features). The artifact constructors share ownership of the
@@ -176,9 +188,10 @@ class SimdFloatDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Vectorized DPRR accumulation hook picked up by BasicEngine::features.
-  void dprr_add(DprrAccumulator& acc, std::span<const double> x_k,
-                std::span<const double> x_km1) const;
+  /// FMA rounding (the float family's single rounding) on this backend.
+  [[nodiscard]] DprrAccumulator make_accumulator() const {
+    return DprrAccumulator(nodes(), DprrRounding::kFloat, backend());
+  }
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
   /// The owned artifact (null for the borrowing features-only pipeline).
@@ -198,7 +211,7 @@ class SimdFloatDatapath {
 /// Calibrated fixed-point datapath over runtime-dispatched SIMD kernels.
 /// Executes the same pipeline as QuantizedDatapath with the vectorizable
 /// stages (masked-input round-to-format, quantized preadd + nonlinearity,
-/// DPRR row updates, feature scale+quantize) routed through
+/// feature scale+quantize, and the exact DPRR block) routed through
 /// serve/simd_kernels.hpp; the quantized B-chain (which serializes through
 /// the per-node round-to-format) stays a scalar pass. Unlike the float ULP
 /// contract, every stage is BIT-IDENTICAL to the scalar QuantizedDatapath
@@ -226,10 +239,10 @@ class SimdQuantizedDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Exact (no-FMA) vectorized DPRR accumulation hook picked up by
-  /// BasicEngine::features.
-  void dprr_add(DprrAccumulator& acc, std::span<const double> x_k,
-                std::span<const double> x_km1) const;
+  /// Exact (no-FMA) rounding on this backend.
+  [[nodiscard]] DprrAccumulator make_accumulator() const {
+    return DprrAccumulator(nodes(), DprrRounding::kExact, backend());
+  }
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
 
@@ -436,11 +449,9 @@ class BasicEngine {
  private:
   P datapath_;
   Vector j_;       // masked input row, size Nx
-  Vector x_prev_;  // x(k-1), ping-ponged with x_cur_
-  Vector x_cur_;   // x(k)
   Vector r_;       // finalized features, size Nx*(Nx+1)
   Vector logits_;  // size Ny (empty for features-only datapaths)
-  DprrAccumulator dprr_;
+  DprrAccumulator dprr_;  // owns the state ring each step writes into
 };
 
 using InferenceEngine = BasicEngine<FloatDatapath>;

@@ -9,9 +9,9 @@ namespace dfr::simd {
 
 // ---- portable scalar kernels ----------------------------------------------
 // These perform exactly the operations of the fused scalar pipeline
-// (ModularReservoir::step / DprrAccumulator::add) in the same order, so the
-// scalar backend is the bit-exact baseline every ISA backend is tested
-// against.
+// (ModularReservoir::step and the DPRR definition in dfr/dprr.hpp) in the
+// same order, so the scalar backend is the bit-exact baseline every ISA
+// backend is tested against.
 
 namespace {
 
@@ -22,13 +22,19 @@ void preadd_nonlin_scalar(const Nonlinearity& f, double a, const double* j,
   }
 }
 
-void dprr_add_scalar(double* r, const double* x_k, const double* x_km1,
-                     std::size_t nx) {
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    double* row = r + i * nx;
-    for (std::size_t j = 0; j < nx; ++j) row[j] += xi * x_km1[j];
-    r[nx * nx + i] += xi;
+// The oracle of the tiled block kernels: the plain per-step loop, run once
+// per step of the block.
+void dprr_block_scalar(double* r, const double* states, std::size_t steps,
+                       std::size_t nx) {
+  for (std::size_t k = 0; k < steps; ++k) {
+    const double* x_km1 = states + k * nx;
+    const double* x_k = x_km1 + nx;
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double xi = x_k[i];
+      double* row = r + i * nx;
+      for (std::size_t j = 0; j < nx; ++j) row[j] += xi * x_km1[j];
+      r[nx * nx + i] += xi;
+    }
   }
 }
 
@@ -74,7 +80,7 @@ void batched_quant_bchain_scalar(double b, const FixedPointFormat& fmt,
   }
 }
 
-// Batched SoA DPRR accumulate; like dprr_add_scalar this rounds twice per
+// Batched SoA DPRR accumulate; like dprr_block_scalar this rounds twice per
 // accumulate, so it doubles as the exact quantized-family kernel.
 void batched_dprr_add_scalar(double* r, const double* x_k, const double* x_km1,
                              std::size_t nx, std::size_t lanes) {
@@ -107,14 +113,13 @@ void batched_mask_scalar(const double* weights, std::size_t nx,
 }
 
 // The scalar float accumulates already round twice per accumulate (plain
-// mul + add, exactly DprrAccumulator::add), so they double as the exact
-// quantized-family kernels.
+// mul + add), so they double as the exact-family kernels.
 constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &preadd_nonlin_scalar,
-                                 &dprr_add_scalar,
+                                 &dprr_block_scalar,
                                  &scale_quantize_scalar,
                                  &quant_preadd_nonlin_scalar,
-                                 &dprr_add_scalar,
+                                 &dprr_block_scalar,
                                  &batched_bchain_scalar,
                                  &batched_quant_bchain_scalar,
                                  &batched_dprr_add_scalar,
@@ -133,8 +138,9 @@ bool cpu_supports_avx2_fma() noexcept {
 bool cpu_supports_avx512() noexcept {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
+  // The AVX-512 TU also runs 256-bit FMA in its half-width remainder step.
   return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512bw");
+         __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("fma");
 #else
   return false;
 #endif

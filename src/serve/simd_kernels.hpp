@@ -5,19 +5,29 @@
 // data-parallel across the Nx virtual nodes and vectorize:
 //
 //   * the masked-input preadd and nonlinearity  v_n = A * f~( j(k)_n + x(k-1)_n )
-//   * the DPRR accumulator row updates          r[i*Nx+j] += x(k)_i * x(k-1)_j
-//     (Nx^2 multiply-adds per time step — the dominant serving cost)
+//   * the DPRR accumulate                       r[i*Nx+j] += x(k)_i * x(k-1)_j
+//     (Nx^2 multiply-adds per time step — the dominant cost of both serving
+//     and training)
 //
 // The third stage, the B-chain x(k)_n = v_n + B * x(k)_{n-1}, serializes on
 // its own output and stays a scalar pass (SimdFloatDatapath::step runs it
 // after the vectorized preadd/nonlinearity).
+//
+// The DPRR stage is one block entry per rounding (DprrBlockFn): a call
+// accumulates `steps` consecutive time steps and keeps a tile of r in
+// registers across them, so r is loaded and stored once per block instead
+// of once per step. Each element of r still sees the same operations in the
+// same time order, so a block is bit-identical to its steps run one call
+// each, under either rounding. DprrAccumulator (dfr/dprr.hpp) feeds it from
+// a ring of recent states; dprr_from_states runs it over a stored trajectory.
 //
 // Backends are selected at RUNTIME, not by compile flags: the ISA-specific
 // translation units (simd_kernels_avx2.cpp, simd_kernels_avx512.cpp,
 // simd_kernels_neon.cpp) are built with per-file arch flags and register
 // themselves; dispatch picks the best kernel set the running CPU supports.
 // The ISA TUs share one kernel body, the templates of simd_kernels_impl.hpp
-// over a per-ISA vector-ops trait; each TU holds only its trait and table.
+// over a per-ISA vector-ops trait; each TU holds only its table and trait
+// (the x86 TUs share their 256- and 128-bit traits, simd_ops_x86.hpp).
 // The `DFR_SIMD` environment variable (`scalar`, `avx2`, `avx512`, or
 // `neon`, read once at first use) or force_backend() (tests) override the
 // choice; forcing an unavailable backend throws CheckError.
@@ -33,7 +43,7 @@
 //     rounding and the stage is bit-exact on x86-64. (On aarch64 the
 //     compiler may contract the *scalar* reference itself, so only the ULP
 //     bound below is guaranteed.)
-//   * The DPRR row update deliberately uses explicit FMA where available:
+//   * The float DPRR block deliberately uses explicit FMA where available:
 //     each accumulate rounds once where the scalar path rounds twice, so a
 //     feature accumulated over T steps may drift by O(T) rounding units of
 //     the accumulated magnitudes. The documented bound: every finalized
@@ -52,9 +62,9 @@
 //   of two is exact whether done by multiply or divide, vector
 //   round-to-nearest matches std::nearbyint under the current rounding
 //   mode, and saturation compares reproduce the scalar clamp), and the
-//   quantized DPRR accumulate deliberately does NOT use FMA — it rounds
-//   twice per accumulate exactly like DprrAccumulator::add, so no ULP
-//   drift exists to bound. test_simd_quant.cpp asserts EXPECT_EQ-strict
+//   exact DPRR block deliberately does NOT use FMA — it rounds twice per
+//   accumulate exactly like the scalar reference, so no ULP drift exists to
+//   bound. test_simd_quant.cpp asserts EXPECT_EQ-strict
 //   equivalence across formats, nonlinearities, sizes, and backends. (On
 //   aarch64 the scalar reference TU itself may FMA-contract the B-chain;
 //   x86-64 baseline code cannot, so the strict contract is asserted there.)
@@ -86,10 +96,15 @@ using PreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
                                 const double* j, const double* x_prev,
                                 double* out, std::size_t nx);
 
-/// Streaming DPRR accumulate: r[i*nx + j] += x_k[i] * x_km1[j] for all i, j,
-/// and r[nx*nx + i] += x_k[i]. `r` has dprr_dim(nx) = nx*(nx+1) entries.
-using DprrAddFn = void (*)(double* r, const double* x_k, const double* x_km1,
-                           std::size_t nx);
+/// Time-blocked DPRR accumulate over `steps` consecutive time steps.
+/// `states` points at steps+1 contiguous rows of nx doubles, x(k0-1), x(k0),
+/// ..., x(k0+steps-1), and for each k in time order
+///   r[i*nx + j] += x(k)_i * x(k-1)_j   and   r[nx*nx + i] += x(k)_i.
+/// `r` has dprr_dim(nx) = nx*(nx+1) entries and must not alias `states`.
+/// steps = 1 is one reservoir step; any block is bit-identical to running
+/// its steps one call each.
+using DprrBlockFn = void (*)(double* r, const double* states, std::size_t steps,
+                             std::size_t nx);
 
 /// In-place vector round-to-format: v[i] = fmt.quantize(v[i] * scale) for i
 /// in [0, n). Bit-identical to calling FixedPointFormat::quantize per
@@ -126,7 +141,7 @@ using QuantPreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
 //     float states are bit-identical per lane to the single-series path on
 //     every backend.
 //   * batched_dprr_add uses explicit FMA per accumulate, exactly like the
-//     single-series float dprr_add; batched float features therefore match
+//     single-series dprr_block; batched float features therefore match
 //     the single-series SIMD engine bit-identically per lane and the scalar
 //     FloatDatapath within simd_feature_ulp_bound (same contract as above).
 //   * batched_quant_bchain and batched_dprr_add_exact never use FMA and
@@ -161,7 +176,7 @@ using BatchedQuantBChainFn = void (*)(double b, const FixedPointFormat& fmt,
 /// r[(nx*nx + i)*lanes + l] += x_k[i*lanes + l]. `r` holds
 /// dprr_dim(nx) * lanes entries. The float-family kernel uses explicit FMA
 /// (single rounding per accumulate); the exact-family twin rounds twice
-/// like DprrAccumulator::add.
+/// like dprr_block_exact.
 using BatchedDprrAddFn = void (*)(double* r, const double* x_k,
                                   const double* x_km1, std::size_t nx,
                                   std::size_t lanes);
@@ -177,18 +192,19 @@ using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
                                double* j, std::size_t lanes);
 
 /// One backend's kernel set. Pointers are non-null and valid for the process
-/// lifetime. `dprr_add` is the float-family accumulate (explicit FMA, single
-/// rounding, ULP-bounded); `dprr_add_exact` is the quantized-family twin
-/// that rounds twice per accumulate exactly like DprrAccumulator::add and is
-/// therefore bit-identical to it. The batched_* members follow the same
-/// float/exact split over the SoA layout documented above.
+/// lifetime. `dprr_block` is the float-family accumulate (explicit FMA,
+/// single rounding, ULP-bounded); `dprr_block_exact` rounds twice per
+/// accumulate like the scalar reference and is bit-identical to it on every
+/// backend (the quantized family and all training use it). The batched_*
+/// members follow the same float/exact split over the SoA layout documented
+/// above, one step per call.
 struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;
-  DprrAddFn dprr_add;
+  DprrBlockFn dprr_block;
   ScaleQuantizeFn scale_quantize;
   QuantPreaddNonlinFn quant_preadd_nonlin;
-  DprrAddFn dprr_add_exact;
+  DprrBlockFn dprr_block_exact;
   BatchedBChainFn batched_bchain;
   BatchedQuantBChainFn batched_quant_bchain;
   BatchedDprrAddFn batched_dprr_add;

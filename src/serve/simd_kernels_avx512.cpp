@@ -1,9 +1,10 @@
 // AVX-512 kernel set (512-bit, 8 doubles per vector): the vector-ops trait
-// for simd_kernels_impl.hpp. This translation unit is compiled with per-file
-// arch flags (-mavx512f -mavx512bw -ffp-contract=off; see the root
+// for simd_kernels_impl.hpp, with Avx2Ops (simd_ops_x86.hpp) as its 256-bit
+// half-width step. This translation unit is compiled with per-file arch
+// flags (-mavx512f -mavx512bw -mfma -ffp-contract=off; see the root
 // CMakeLists) on x86-64 builds and compiles to a nullptr stub everywhere
 // else — runtime dispatch in simd_kernels.cpp gates execution on
-// __builtin_cpu_supports("avx512f")/("avx512bw").
+// __builtin_cpu_supports("avx512f")/("avx512bw")/("fma").
 //
 // Same contracts as the AVX2 TU, twice the width:
 //  * float family — the preadd/nonlinearity stage rounds exactly like the
@@ -14,17 +15,19 @@
 #include "serve/simd_kernels.hpp"
 
 #if defined(DFR_SIMD_KERNELS_ISA) && defined(__AVX512F__) && \
-    defined(__AVX512BW__)
+    defined(__AVX512BW__) && defined(__FMA__)
 
 #include <immintrin.h>
 
 #include "serve/simd_kernels_impl.hpp"
+#include "serve/simd_ops_x86.hpp"
 
 namespace dfr::simd {
 namespace {
 
 struct Avx512Ops {
   using vec = __m512d;
+  using Half = Avx2Ops;
   static constexpr std::size_t kWidth = 8;
 
   static vec load(const double* p) noexcept { return _mm512_loadu_pd(p); }

@@ -16,21 +16,26 @@
 //   round(v)                to integral under the current rounding mode
 //                           (== std::nearbyint lane-wise)
 //   zero_nan(probe, v)      v with the lanes where `probe` is NaN set to +0.0
+// and optionally `Half`, a trait of the same shape at half the width.
 //
 // Remainder policy, in one place (for_each_block) and the same on every ISA
 // and loop shape (Nx for the single-series kernels, lanes for the batched
-// ones): whole vectors first, then a scalar remainder that runs the same
-// block body through ScalarOps, one double at a time. A remainder element
-// therefore performs its lane's operations: std::fma where the body fuses,
-// one rounding per add and multiply elsewhere (these TUs build with
-// -ffp-contract=off, so nothing else fuses). No masked loads or stores.
+// ones): whole vectors first, then one Ops::Half vector when the trait has
+// one and at least that many elements remain, then a scalar remainder that
+// runs the same block body through ScalarOps, one double at a time. A
+// remainder element therefore performs its lane's operations: std::fma
+// where the body fuses, one rounding per add and multiply elsewhere (these
+// TUs build with -ffp-contract=off, so nothing else fuses). No masked loads
+// or stores.
 //
-// Everything here lives in an unnamed namespace. Each TU's instantiations
-// must stay its own: a helper with external linkage would be emitted as one
-// weak symbol in both the AVX2 and the AVX-512 object, and the linker would
-// keep one copy, compiled for one ISA, for both callers.
+// Everything here lives in an unnamed namespace, and so must every trait a
+// TU defines (Half ones included). Each TU's instantiations must stay its
+// own: a helper with external linkage would be emitted as one weak symbol in
+// both the AVX2 and the AVX-512 object, and the linker would keep one copy,
+// compiled for one ISA, for both callers.
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #include "serve/simd_kernels.hpp"
 
@@ -64,19 +69,28 @@ struct ScalarOps {
   }
 };
 
-/// body(Ops{}, i) for each whole vector of [0, n), then body(ScalarOps{}, i)
-/// for each remaining index. `body` is generic over its ops tag.
+/// The remainder policy: body(Ops{}, i) for each whole vector of [0, n), then
+/// body(Ops::Half{}, i) once if the trait has a half width and it fits, then
+/// body(ScalarOps{}, i) for each remaining index. `body` is generic over its
+/// ops tag.
 template <class Ops, class Body>
 inline void for_each_block(std::size_t n, const Body& body) {
-  const std::size_t main = n - n % Ops::kWidth;
-  for (std::size_t i = 0; i < main; i += Ops::kWidth) body(Ops{}, i);
-  for (std::size_t i = main; i < n; ++i) body(ScalarOps{}, i);
+  std::size_t i = 0;
+  for (; i + Ops::kWidth <= n; i += Ops::kWidth) body(Ops{}, i);
+  if constexpr (requires { typename Ops::Half; }) {
+    using Half = typename Ops::Half;
+    if (i + Half::kWidth <= n) {
+      body(Half{}, i);
+      i += Half::kWidth;
+    }
+  }
+  for (; i < n; ++i) body(ScalarOps{}, i);
 }
 
 /// The DPRR accumulate's rounding, fixed per `Kernels` entry: kFloat fuses
 /// each r + x*y into one rounding (the float family, ULP-bounded); kExact
-/// multiplies then adds, two roundings exactly like DprrAccumulator::add
-/// (the quantized family, bit-identical).
+/// multiplies then adds, two roundings exactly like the scalar reference
+/// (the quantized family and training, bit-identical).
 enum class Accumulate { kFloat, kExact };
 
 template <class O, Accumulate kMode>
@@ -180,21 +194,66 @@ void scale_quantize(const FixedPointFormat& fmt, double scale, double* values,
   });
 }
 
-// r[i*nx + jj] += x_k[i] * x_km1[jj], rounded per kMode, plus the
-// r[nx^2 + i] += x_k[i] node-sum column.
-template <class Ops, Accumulate kMode>
-void dprr_add(double* r, const double* x_k, const double* x_km1,
-              std::size_t nx) {
-  double* sums = r + nx * nx;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    double* row = r + i * nx;
-    for_each_block<Ops>(nx, [&]<class O>(O, std::size_t jj) {
-      O::store(row + jj, madd<O, kMode>(O::set1(xi), O::load(x_km1 + jj),
-                                        O::load(row + jj)));
-    });
-    sums[i] += xi;
+// ---- time-blocked DPRR (DprrBlockFn) ----------------------------------------
+// The register tile: kDprrTileRows rows of r by one vector of columns stay in
+// registers across every step of a block, so a block loads and stores each
+// element of r once, where one call per step loads and stores it every step.
+// Eight rows give eight independent accumulator chains, enough to cover the
+// add latency of exact rounding even in the scalar remainder columns. Chosen
+// from the kernel ledger (BM_Kernel/dprr_block*, see README).
+inline constexpr std::size_t kDprrTileRows = 8;
+
+// One tile: rows [i0, i0+kRows) of r by one vector of O from column j0. Each
+// step k adds x(k)_i * x(k-1)_j, rounded per kMode, in time order.
+template <class O, std::size_t kRows, Accumulate kMode>
+inline void dprr_tile(double* r, const double* states, std::size_t steps,
+                      std::size_t nx, std::size_t i0, std::size_t j0) {
+  typename O::vec acc[kRows];
+  for (std::size_t a = 0; a < kRows; ++a) {
+    acc[a] = O::load(r + (i0 + a) * nx + j0);
   }
+  for (std::size_t k = 0; k < steps; ++k) {
+    const typename O::vec xj = O::load(states + k * nx + j0);
+    const double* x_k = states + (k + 1) * nx + i0;
+    for (std::size_t a = 0; a < kRows; ++a) {
+      acc[a] = madd<O, kMode>(O::set1(x_k[a]), xj, acc[a]);
+    }
+  }
+  for (std::size_t a = 0; a < kRows; ++a) {
+    O::store(r + (i0 + a) * nx + j0, acc[a]);
+  }
+}
+
+/// f(std::integral_constant<std::size_t, R>{}) with R = min(rows, kMax): a
+/// full row band gets the whole tile height, the last band its exact count.
+template <std::size_t kMax, class F>
+inline void with_tile_rows(std::size_t rows, const F& f) {
+  if constexpr (kMax > 1) {
+    if (rows < kMax) return with_tile_rows<kMax - 1>(rows, f);
+  }
+  f(std::integral_constant<std::size_t, kMax>{});
+}
+
+// r[i*nx + j] += x(k)_i * x(k-1)_j over the block's steps, tile by tile, plus
+// the r[nx^2 + i] += x(k)_i node-sum column, one add per step in time order.
+template <class Ops, Accumulate kMode>
+void dprr_block(double* r, const double* states, std::size_t steps,
+                std::size_t nx) {
+  for (std::size_t i = 0; i < nx; i += kDprrTileRows) {
+    with_tile_rows<kDprrTileRows>(nx - i, [&](auto rows) {
+      for_each_block<Ops>(nx, [&]<class O>(O, std::size_t j) {
+        dprr_tile<O, decltype(rows)::value, kMode>(r, states, steps, nx, i, j);
+      });
+    });
+  }
+  double* sums = r + nx * nx;
+  for_each_block<Ops>(nx, [&]<class O>(O, std::size_t i) {
+    typename O::vec sum = O::load(sums + i);
+    for (std::size_t k = 1; k <= steps; ++k) {
+      sum = O::add(sum, O::load(states + k * nx + i));
+    }
+    O::store(sums + i, sum);
+  });
 }
 
 // ---- batched (SoA) kernels: vectors span lanes, i.e. independent series ----
@@ -301,10 +360,10 @@ template <class Ops>
 constexpr Kernels kernel_table(Backend backend) noexcept {
   return Kernels{backend,
                  &preadd_nonlin<Ops>,
-                 &dprr_add<Ops, Accumulate::kFloat>,
+                 &dprr_block<Ops, Accumulate::kFloat>,
                  &scale_quantize<Ops>,
                  &quant_preadd_nonlin<Ops>,
-                 &dprr_add<Ops, Accumulate::kExact>,
+                 &dprr_block<Ops, Accumulate::kExact>,
                  &batched_bchain<Ops>,
                  &batched_quant_bchain<Ops>,
                  &batched_dprr_add<Ops, Accumulate::kFloat>,

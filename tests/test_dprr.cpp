@@ -1,6 +1,14 @@
 // Unit tests for the DPRR layer and the alternative representations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dfr/dprr.hpp"
 #include "dfr/representation.hpp"
 #include "util/rng.hpp"
@@ -98,6 +106,100 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, DprrShapeSweep,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 5, 50),
                        ::testing::Values<std::size_t>(1, 3, 10, 30)));
+
+// ---- the accumulator's ring against a plain loop ---------------------------
+
+/// One (x(k), x(k-1)) pair per step.
+using StatePairs =
+    std::vector<std::pair<std::span<const double>, std::span<const double>>>;
+
+/// The DPRR definition as a plain loop over the pairs, rounded like `fused`
+/// says: one std::fma per accumulate, or a multiply and then an add.
+Vector plain_dprr(const StatePairs& pairs, std::size_t nx, bool fused) {
+  Vector r(dprr_dim(nx), 0.0);
+  for (const auto& [x_k, x_km1] : pairs) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      for (std::size_t j = 0; j < nx; ++j) {
+        double& rij = r[i * nx + j];
+        rij = fused ? std::fma(x_k[i], x_km1[j], rij) : rij + x_k[i] * x_km1[j];
+      }
+      r[nx * nx + i] += x_k[i];
+    }
+  }
+  return r;
+}
+
+void expect_same_bits(const Vector& expected, const Vector& got,
+                      const std::string& context) {
+  ASSERT_EQ(expected.size(), got.size()) << context;
+#if defined(__x86_64__) || defined(_M_X64)
+  EXPECT_EQ(std::memcmp(expected.data(), got.data(),
+                        expected.size() * sizeof(double)),
+            0)
+      << context;
+#else
+  // This TU is built without -ffp-contract=off, so elsewhere the plain loop's
+  // multiply-then-add may itself fuse.
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(expected[i], got[i], 1e-12 * (1.0 + std::fabs(expected[i])))
+        << context << " i=" << i;
+  }
+#endif
+}
+
+// DprrAccumulator (ring, flush at each full block and at features()) on
+// every backend and both roundings, against the plain loop: stepped through
+// next()/commit() twice with a reset between, and fed through add() with one
+// pair that does not continue the chain. Series lengths sit around the
+// block length K, so partial and exact final blocks both occur. The scalar
+// backend has no FMA kernel: its float rounding is the plain two-rounding
+// loop too.
+TEST(Dprr, AccumulatorBitIdenticalToPlainLoop) {
+  constexpr std::size_t kK = DprrAccumulator::kBlockSteps;
+  for (std::size_t nx : {1, 3, 8, 30, 101}) {
+    for (std::size_t t_len :
+         {std::size_t{1}, kK - 1, kK, kK + 1, std::size_t{151}}) {
+      const Matrix states = random_states(t_len, nx, 500 + t_len * 7 + nx);
+      const Matrix other = random_states(1, nx, 900 + nx);
+      StatePairs chained, broken;
+      for (std::size_t k = 1; k <= t_len; ++k) {
+        chained.emplace_back(states.row(k), states.row(k - 1));
+        const bool break_chain = k == t_len / 2 + 1;
+        broken.emplace_back(states.row(k),
+                            break_chain ? other.row(1) : states.row(k - 1));
+      }
+      for (simd::Backend b :
+           {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
+            simd::Backend::kAvx512}) {
+        if (!simd::backend_available(b)) continue;
+        for (DprrRounding rounding :
+             {DprrRounding::kExact, DprrRounding::kFloat}) {
+          const bool fused =
+              rounding == DprrRounding::kFloat && b != simd::Backend::kScalar;
+          const std::string context =
+              std::string(simd::backend_name(b)) + (fused ? " fma" : " exact") +
+              " nx=" + std::to_string(nx) + " T=" + std::to_string(t_len);
+          DprrAccumulator acc(nx, rounding, b);
+          for (int pass = 0; pass < 2; ++pass) {
+            acc.reset();
+            for (std::size_t k = 1; k <= t_len; ++k) {
+              const auto x_k = states.row(k);
+              std::copy(x_k.begin(), x_k.end(), acc.next().begin());
+              acc.commit();
+            }
+            EXPECT_EQ(acc.steps(), t_len) << context;
+            expect_same_bits(plain_dprr(chained, nx, fused), acc.features(),
+                             context + " pass " + std::to_string(pass));
+          }
+          acc.reset();
+          for (const auto& [x_k, x_km1] : broken) acc.add(x_k, x_km1);
+          expect_same_bits(plain_dprr(broken, nx, fused), acc.features(),
+                           context + " add()");
+        }
+      }
+    }
+  }
+}
 
 // ---- representations --------------------------------------------------------
 

@@ -333,6 +333,58 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
   }
 }
 
+// The DPRR block entry against the same kernel one step per call, for both
+// roundings on every backend: a block must leave r bit-for-bit as its steps
+// do (memcmp, so signed zeros count too), at every Nx remainder and at block
+// lengths around the accumulator's K. r starts nonzero, as it does for every
+// block after a series' first. The exact entry must also match the scalar
+// backend's, the oracle.
+TEST(SimdKernels, DprrBlockBitIdenticalToItsSteps) {
+  constexpr std::size_t kK = DprrAccumulator::kBlockSteps;
+  const simd::Kernels& oracle = simd::kernels_for(simd::Backend::kScalar);
+  Rng rng(29);
+  for (std::size_t nx : kRemainderSizes) {
+    for (std::size_t t_len :
+         {std::size_t{1}, kK - 1, kK, kK + 1, std::size_t{151}}) {
+      Vector states((t_len + 1) * nx);
+      for (double& v : states) v = rng.uniform(-1.0, 1.0);
+      Vector r0(dprr_dim(nx));
+      for (double& v : r0) v = rng.uniform(-4.0, 4.0);
+      const std::size_t bytes = r0.size() * sizeof(double);
+
+      Vector oracle_exact = r0;
+      oracle.dprr_block_exact(oracle_exact.data(), states.data(), t_len, nx);
+      for (simd::Backend b : available_backends()) {
+        const simd::Kernels& kernels = simd::kernels_for(b);
+        for (const simd::DprrBlockFn block :
+             {kernels.dprr_block, kernels.dprr_block_exact}) {
+          const bool exact = block == kernels.dprr_block_exact;
+          const std::string context =
+              std::string(simd::backend_name(b)) +
+              (exact ? " exact" : " float") + " nx=" + std::to_string(nx) +
+              " T=" + std::to_string(t_len);
+          Vector stepped = r0;
+          for (std::size_t k = 0; k < t_len; ++k) {
+            block(stepped.data(), states.data() + k * nx, 1, nx);
+          }
+          Vector blocked = r0;
+          block(blocked.data(), states.data(), t_len, nx);
+          EXPECT_EQ(std::memcmp(blocked.data(), stepped.data(), bytes), 0)
+              << context;
+#if defined(__x86_64__) || defined(_M_X64)
+          // The scalar oracle's TU may fuse on other architectures.
+          if (exact) {
+            EXPECT_EQ(
+                std::memcmp(blocked.data(), oracle_exact.data(), bytes), 0)
+                << context << " vs the scalar oracle";
+          }
+#endif
+        }
+      }
+    }
+  }
+}
+
 // ---- pipeline equivalence: the documented ULP bound ------------------------
 
 // Finalized features (full mask -> step -> DPRR -> finalize pipeline) for

@@ -232,33 +232,37 @@ TEST(QuantKernels, QuantPreaddNonlinBitExactAcrossBackends) {
   }
 }
 
-// dprr_add_exact against DprrAccumulator::add over many accumulation steps:
-// no FMA means no drift — strict equality even after hundreds of rounds.
+// dprr_block_exact, one step per call, against the DPRR definition written
+// out as a plain multiply-then-add loop, over many accumulation steps: no
+// FMA means no drift — strict equality even after hundreds of rounds.
 TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
   Rng rng(17);
   for (std::size_t nx : kRemainderSizes) {
     constexpr std::size_t kSteps = 64;
-    std::vector<Vector> xs;
-    for (std::size_t k = 0; k <= kSteps; ++k) {
-      Vector x(nx);
-      for (double& v : x) v = rng.uniform(-1.0, 1.0);
-      xs.push_back(std::move(x));
-    }
-    DprrAccumulator reference(nx);
+    Vector states((kSteps + 1) * nx);  // rows x(0) .. x(kSteps)
+    for (double& v : states) v = rng.uniform(-1.0, 1.0);
+    Vector reference(dprr_dim(nx), 0.0);
     for (std::size_t k = 1; k <= kSteps; ++k) {
-      reference.add(xs[k], xs[k - 1]);
+      const double* x_k = states.data() + k * nx;
+      const double* x_km1 = x_k - nx;
+      for (std::size_t i = 0; i < nx; ++i) {
+        for (std::size_t j = 0; j < nx; ++j) {
+          reference[i * nx + j] += x_k[i] * x_km1[j];
+        }
+        reference[nx * nx + i] += x_k[i];
+      }
     }
     for (simd::Backend b : available_backends()) {
       Vector r(dprr_dim(nx), 0.0);
-      for (std::size_t k = 1; k <= kSteps; ++k) {
-        simd::kernels_for(b).dprr_add_exact(r.data(), xs[k].data(),
-                                            xs[k - 1].data(), nx);
+      for (std::size_t k = 0; k < kSteps; ++k) {
+        simd::kernels_for(b).dprr_block_exact(r.data(), states.data() + k * nx,
+                                              1, nx);
       }
-      // Strict on x86-64; on other architectures the scalar reference
-      // (dprr.cpp, built without -ffp-contract=off) may itself fuse, so the
+      // Strict on x86-64; on other architectures this test's reference loop
+      // may itself fuse (it is built without -ffp-contract=off), so the
       // helper's non-x86 branch allows sub-ulp drift. The accumulators are
       // raw doubles, not grid values, hence step = 0.
-      expect_bit_identical(reference.features(), r,
+      expect_bit_identical(reference, r,
                            std::string(simd::backend_name(b)) +
                                " dprr nx=" + std::to_string(nx));
     }
