@@ -21,7 +21,11 @@
 //   row          loadgen-inproc | router-<K>shard, with a -shed suffix when
 //                --deadline-us is set (the queue-position shed measurement)
 //   offered_qps / achieved_qps, sent/completed/shed/rejected/errors,
-//   p50/p90/p99_us over completed requests, shed_frac, reject_frac.
+//   p50/p90/p99_us over completed requests, shed_frac, reject_frac, and
+//   (last column) tail_samples, the completed requests slower than p99.
+// At a few hundred completions a p99 rests on a handful of samples, so the
+// console line prints the completed count and the highest of p99/p90 with at
+// least kTailMinSamples samples beyond it, labelled with that count.
 // A sweep (e.g. --qps 200,500,1000,2000) is the latency-vs-offered-load
 // curve.
 //
@@ -357,12 +361,24 @@ std::string fmt(double v) {
   return buffer;
 }
 
+/// Fewest samples beyond a tail quantile for the console line to print it.
+constexpr std::size_t kTailMinSamples = 10;
+
+/// Samples strictly above `threshold`.
+std::size_t count_above(const std::vector<double>& values, double threshold) {
+  return static_cast<std::size_t>(
+      std::count_if(values.begin(), values.end(),
+                    [threshold](double v) { return v > threshold; }));
+}
+
 void report_point(const std::string& row, std::size_t shards,
                   std::size_t workers, const PointResult& point,
                   bench::BenchCsv& csv, double cold_fault_frac = 0.0) {
   const Summary latency = point.latencies_us.empty()
                               ? Summary{}
                               : summarize(point.latencies_us);
+  const std::size_t beyond_p99 = count_above(point.latencies_us, latency.p99);
+  const std::size_t beyond_p90 = count_above(point.latencies_us, latency.p90);
   const double denom = point.sent > 0 ? static_cast<double>(point.sent) : 1.0;
   const double shed_frac = static_cast<double>(point.shed) / denom;
   const double reject_frac = static_cast<double>(point.rejected) / denom;
@@ -372,8 +388,18 @@ void report_point(const std::string& row, std::size_t shards,
           : 0.0;
   std::cout << row << ": offered=" << fmt(point.offered_qps)
             << "qps achieved=" << fmt(achieved) << "qps sent=" << point.sent
-            << " p50=" << fmt(latency.p50) << "us p99=" << fmt(latency.p99)
-            << "us shed=" << fmt(100.0 * shed_frac)
+            << " completed=" << point.completed << " p50=" << fmt(latency.p50)
+            << "us";
+  if (beyond_p99 >= kTailMinSamples) {
+    std::cout << " p99=" << fmt(latency.p99) << "us(" << beyond_p99
+              << " beyond)";
+  } else if (beyond_p90 >= kTailMinSamples) {
+    std::cout << " p90=" << fmt(latency.p90) << "us(" << beyond_p90
+              << " beyond)";
+  } else {
+    std::cout << " tail=n/a(<" << kTailMinSamples << " beyond p90)";
+  }
+  std::cout << " shed=" << fmt(100.0 * shed_frac)
             << "% rejected=" << fmt(100.0 * reject_frac)
             << "% errors=" << point.errors;
   if (cold_fault_frac > 0.0) {
@@ -386,8 +412,8 @@ void report_point(const std::string& row, std::size_t shards,
               << "% breaker_fastfails=" << fmt(100.0 * fastfail_frac) << "%";
   }
   std::cout << "\n";
-  // cold_fault_frac / timeout_frac / breaker_fastfail_frac are APPENDED so
-  // the CI awk checks' column indices stay valid.
+  // cold_fault_frac / timeout_frac / breaker_fastfail_frac / tail_samples
+  // are APPENDED so the CI awk checks' column indices stay valid.
   csv.add_row({row, "synth", std::to_string(shards), std::to_string(workers),
                fmt(point.offered_qps), fmt(point.duration_s),
                std::to_string(point.sent), std::to_string(point.completed),
@@ -395,7 +421,7 @@ void report_point(const std::string& row, std::size_t shards,
                std::to_string(point.errors), fmt(achieved), fmt(latency.p50),
                fmt(latency.p90), fmt(latency.p99), fmt(shed_frac),
                fmt(reject_frac), fmt(cold_fault_frac), fmt(timeout_frac),
-               fmt(fastfail_frac)});
+               fmt(fastfail_frac), std::to_string(beyond_p99)});
 }
 
 std::vector<double> parse_qps_list(const std::string& text) {
@@ -531,7 +557,7 @@ int run(int argc, char** argv) {
                             "shed", "rejected", "errors", "achieved_qps",
                             "p50_us", "p90_us", "p99_us", "shed_frac",
                             "reject_frac", "cold_fault_frac", "timeout_frac",
-                            "breaker_fastfail_frac"});
+                            "breaker_fastfail_frac", "tail_samples"});
 
   const std::string skew = cli.get("skew");
   double zipf_s = 0.0;

@@ -3,13 +3,16 @@
 //   * BM_BackpropFull vs BM_BackpropTruncated across T — the truncated
 //     backward pass is O(Nx^2) regardless of T while full BPTT is O(T Nx^2),
 //     i.e. the ~1/T compute reduction the paper states;
-//   * forward / DPRR / mask / ridge kernels for profiling context;
+//   * forward / DPRR / mask / ridge kernels for profiling context, and
+//     BM_ForwardLanes, the lockstep training forward per series by group
+//     size;
 //   * BM_Kernel, the serving kernel ledger: every simd::Kernels entry on
 //     every backend this host and build can run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "data/synth.hpp"
 #include "dfr/backprop.hpp"
@@ -72,6 +75,37 @@ void BM_ForwardTruncated(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ForwardTruncated)->RangeMultiplier(4)->Range(64, 1024)->Complexity();
+
+// The lockstep training forward per series: `lanes` ECG-shaped series
+// (T = 151, 2 channels) per ForwardLanes::run at window 1, as an SGD epoch
+// runs them. items_per_second counts series-steps, so the lanes:1 row (what
+// run_forward_truncated runs) and the group rows compare directly.
+void BM_ForwardLanes(benchmark::State& state) {
+  constexpr std::size_t kSteps = 151;
+  const auto nx = static_cast<std::size_t>(state.range(0));
+  const auto lanes = static_cast<std::size_t>(state.range(1));
+  Rng rng(7);
+  const ModularReservoir reservoir(nx, Nonlinearity{});
+  const Mask mask(nx, 2, MaskKind::kBinary, rng);
+  std::vector<Matrix> series;
+  std::vector<const Matrix*> group;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    series.push_back(random_series(kSteps, 2, 11 + l));
+  }
+  for (const Matrix& s : series) group.push_back(&s);
+  ForwardLanes forward(reservoir, mask, kSteps, 1, lanes);
+  const DfrParams params{0.2, 0.3};
+  for (auto _ : state) {
+    forward.run(params, group);
+    benchmark::DoNotOptimize(forward.dprr(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes * kSteps));
+}
+BENCHMARK(BM_ForwardLanes)
+    ->ArgsProduct({{10, 30, 100},
+                   {1, static_cast<std::int64_t>(ForwardLanes::kLanes), 16}})
+    ->ArgNames({"nx", "lanes"});
 
 void BM_BackpropFull(benchmark::State& state) {
   const Fixture fx(static_cast<std::size_t>(state.range(0)));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -120,44 +121,116 @@ ReservoirGradients backprop_full(const ModularReservoir& reservoir,
                                threads);
 }
 
+ForwardLanes::ForwardLanes(const ModularReservoir& reservoir, const Mask& mask,
+                           std::size_t steps, std::size_t window,
+                           std::size_t max_lanes)
+    : mask_(&mask),
+      f_(reservoir.nonlinearity()),
+      backend_(simd::active_backend()),
+      nx_(reservoir.nodes()),
+      steps_(steps),
+      kept_(std::min(window, steps)),
+      j_(reservoir.nodes(), 0.0),
+      step_(reservoir.nodes(), mask.channels(), max_lanes) {
+  DFR_CHECK_MSG(mask.nodes() == nx_, "mask rows != reservoir node count");
+  DFR_CHECK_MSG(steps >= 1, "series must have at least one step");
+  DFR_CHECK_MSG(max_lanes >= 1 && max_lanes <= simd::kBatchedMaxLanes,
+                "lockstep lane count must be in [1, kBatchedMaxLanes]");
+  dprr_.reserve(max_lanes);
+  for (std::size_t l = 0; l < max_lanes; ++l) {
+    dprr_.emplace_back(nx_, DprrRounding::kExact, backend_);
+  }
+  if (kept_ > 0) {
+    tail_states_.assign(max_lanes, Matrix(kept_ + 1, nx_));
+    tail_j_.assign(max_lanes, Matrix(kept_, nx_));
+  }
+}
+
+void ForwardLanes::run(const DfrParams& params,
+                       std::span<const Matrix* const> series) {
+  const std::size_t n = series.size();
+  DFR_CHECK_MSG(n >= 1 && n <= max_lanes(),
+                "lockstep group size must be in [1, max_lanes()]");
+  for (const Matrix* s : series) {
+    DFR_CHECK_MSG(s != nullptr && s->rows() == steps_ &&
+                      s->cols() == mask_->channels(),
+                  "lockstep series must be steps x mask channels");
+  }
+  lanes_ = n;
+  for (std::size_t l = 0; l < n; ++l) dprr_[l].reset();
+
+  if (n == 1) {
+    // One series runs the single-series SIMD step, straight into the
+    // accumulator's ring: the same operations as one batched lane, but at
+    // one lane the batched mask and B-chain run wholly in their scalar
+    // remainder, where they cost more (README, "Tuning cost").
+    const SimdFloatDatapath datapath(*mask_, params, f_, backend_);
+    DprrAccumulator& dprr = dprr_[0];
+    for (std::size_t k = 1; k <= steps_; ++k) {
+      datapath.mask_into(series[0]->row(k - 1), j_);
+      datapath.step(j_, dprr.previous(), dprr.next());  // x(k)
+      keep(0, k, dprr.next(), j_.data(), 1);
+      dprr.commit();
+    }
+    return;
+  }
+
+  const BatchedFloatDatapath datapath(*mask_, params, f_, backend_);
+  step_.start(n);
+  for (std::size_t k = 1; k <= steps_; ++k) {
+    step_.advance(datapath, series, k - 1);  // x(k) and j(k)
+    const double* x = step_.state();
+    for (std::size_t l = 0; l < n; ++l) {
+      const std::span<double> x_k = dprr_[l].next();
+      for (std::size_t i = 0; i < nx_; ++i) x_k[i] = x[i * n + l];
+      keep(l, k, x_k, step_.masked() + l, n);
+      dprr_[l].commit();
+    }
+  }
+}
+
+void ForwardLanes::keep(std::size_t lane, std::size_t k,
+                        std::span<const double> x_k, const double* j,
+                        std::size_t stride) {
+  // x(k) for k >= head fills tail row k - head; j(k) for k > head fills row
+  // k - head - 1. With head = 0, row 0 is x(0) = 0 from construction.
+  const std::size_t head = steps_ - kept_;
+  if (kept_ == 0 || k < head) return;
+  tail_states_[lane].set_row(k - head, x_k);
+  if (k == head) return;
+  double* row = tail_j_[lane].row(k - head - 1).data();
+  for (std::size_t i = 0; i < nx_; ++i) row[i] = j[i * stride];
+}
+
+const Vector& ForwardLanes::dprr(std::size_t lane) {
+  DFR_CHECK_MSG(lane < lanes_, "lane index beyond the last group size");
+  return dprr_[lane].features();
+}
+
+const Matrix& ForwardLanes::tail_states(std::size_t lane) const {
+  DFR_CHECK_MSG(lane < lanes_ && kept_ > 0, "no tail for this lane");
+  return tail_states_[lane];
+}
+
+const Matrix& ForwardLanes::tail_j(std::size_t lane) const {
+  DFR_CHECK_MSG(lane < lanes_ && kept_ > 0, "no tail for this lane");
+  return tail_j_[lane];
+}
+
 TruncatedForward run_forward_truncated(const ModularReservoir& reservoir,
                                        const DfrParams& params, const Mask& mask,
                                        const Matrix& series, std::size_t window) {
-  const std::size_t nx = reservoir.nodes();
-  const std::size_t t_len = series.rows();
-  DFR_CHECK_MSG(t_len >= 1, "series must have at least one step");
+  DFR_CHECK_MSG(series.rows() >= 1, "series must have at least one step");
   DFR_CHECK_MSG(window >= 1, "window must be at least 1");
-  const std::size_t kept = std::min(window, t_len);
+  ForwardLanes forward(reservoir, mask, series.rows(), window, 1);
+  const Matrix* lane = &series;
+  forward.run(params, std::span<const Matrix* const>(&lane, 1));
 
-  // Ring buffers: kept+1 state rows (x(k) in slot k % (kept+1), x(0) = 0 in
-  // slot 0), kept masked-input rows. The reservoir steps into the DPRR
-  // accumulator's own ring; the tail ring keeps a copy of each state.
-  Matrix state_ring(kept + 1, nx);
-  Matrix j_ring(kept, nx);
-  DprrAccumulator dprr(nx);
-  for (std::size_t k = 0; k < t_len; ++k) {
-    const Vector j_row = mask.apply(series.row(k));
-    const std::span<double> x_k = dprr.next();
-    reservoir.step(params, j_row, dprr.previous(), x_k);
-    state_ring.set_row((k + 1) % (kept + 1), x_k);
-    dprr.commit();
-    j_ring.set_row(k % kept, j_row);
-  }
-
-  // Unroll the rings into chronologically ordered tail matrices.
   TruncatedForward out;
-  out.steps = t_len;
-  out.dprr = dprr.features();
-  out.tail_states.resize(kept + 1, nx);
-  out.tail_j.resize(kept, nx);
-  for (std::size_t i = 0; i <= kept; ++i) {
-    const std::size_t k = t_len - kept + i;  // row i is x(k)
-    out.tail_states.set_row(i, state_ring.row(k % (kept + 1)));
-  }
-  for (std::size_t i = 0; i < kept; ++i) {
-    const std::size_t k = t_len - kept + i;  // 0-based index of j(k+1)
-    out.tail_j.set_row(i, j_ring.row(k % kept));
-  }
+  out.steps = series.rows();
+  out.dprr = forward.dprr(0);
+  out.tail_states = forward.tail_states(0);
+  out.tail_j = forward.tail_j(0);
   return out;
 }
 

@@ -15,15 +15,19 @@
 // Both regimes are one implementation: `backprop_through_dprr` walks the last
 // `window` steps of whatever state history it is given. Passing the full
 // trajectory with window = T is full BPTT; passing a (w+1)-row tail with
-// window = w is the truncated method. `run_forward_truncated` produces such a
-// tail with O(w * Nx) memory using a ring buffer, which is what realizes the
-// paper's memory saving (Table 2).
+// window = w is the truncated method. The training forward, ForwardLanes,
+// keeps only such a tail, O(w * Nx) values per series, which is what
+// realizes the paper's memory saving (Table 2); with window = T its tail is
+// the whole trajectory.
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "dfr/dprr.hpp"
 #include "dfr/mask.hpp"
 #include "dfr/reservoir.hpp"
+#include "serve/soa_step.hpp"
 
 namespace dfr {
 
@@ -76,10 +80,82 @@ struct TruncatedForward {
   }
 };
 
+/// The training forward: runs up to max_lanes() series of one shape in
+/// lockstep, one structure-of-arrays time step at a time (serve/soa_step.hpp)
+/// through the batched mask, preadd + nonlinearity and B-chain kernels of
+/// the active backend. Each lane's x(k) goes straight into that lane's exact
+/// DprrAccumulator and, when it falls in the last `window` steps, into the
+/// lane's tail. Per lane, the DPRR and the tail are bit-identical to
+/// stepping the series alone through Mask::apply_into and
+/// ModularReservoir::step (the batched step contract of simd_kernels.hpp on
+/// x86-64; the DPRR runs the same exact block kernel either way).
+///
+/// Every training pass runs many series at one (A, B): a feature pass over a
+/// dataset, and an SGD epoch whose reservoir update waits for the epoch's
+/// end. The B-chain, one serial chain per series, then runs kLanes chains
+/// side by side in one vector.
+///
+/// Memory: a lane keeps its tail, (w+1) x Nx states and w x Nx masked
+/// inputs, so a group holds kLanes (w+1) Nx states at once: 8 x 2 x 30 = 480
+/// values at w = 1 and Nx = 30, still independent of T.
+/// stored_state_values() counts one series, as the per-lane accumulator
+/// rings are implementation buffers on top. All storage is allocated at
+/// construction; run() allocates nothing. Not thread-safe: one per worker.
+class ForwardLanes {
+ public:
+  /// Series per group. Chosen from the ledger (BM_ForwardLanes, README).
+  static constexpr std::size_t kLanes = 8;
+
+  /// Storage for groups of up to `max_lanes` series of `steps` rows and
+  /// mask.channels() columns, keeping the last min(window, steps) steps of
+  /// each (window = 0 keeps no tail: a feature pass). Borrows `mask`, which
+  /// must outlive this object.
+  ForwardLanes(const ModularReservoir& reservoir, const Mask& mask,
+               std::size_t steps, std::size_t window,
+               std::size_t max_lanes = kLanes);
+
+  /// Run series[l] through lane l at `params`. Throws CheckError unless
+  /// 1 <= series.size() <= max_lanes() and every series is `steps` x
+  /// mask.channels().
+  void run(const DfrParams& params, std::span<const Matrix* const> series);
+
+  /// Lane l's DPRR r (raw sums, see dprr_time_scale) from the last run.
+  [[nodiscard]] const Vector& dprr(std::size_t lane);
+  /// Lane l's tail from the last run, laid out as TruncatedForward's.
+  [[nodiscard]] const Matrix& tail_states(std::size_t lane) const;
+  [[nodiscard]] const Matrix& tail_j(std::size_t lane) const;
+
+  [[nodiscard]] std::size_t max_lanes() const noexcept { return dprr_.size(); }
+  /// (kept+1) * Nx: TruncatedForward::stored_state_values for one series.
+  [[nodiscard]] std::size_t stored_state_values() const noexcept {
+    return (kept_ + 1) * nx_;
+  }
+
+ private:
+  /// Lane `lane`'s x(k) and j(k) (every `stride`-th value from `j`) into its
+  /// tail, when step k falls in it.
+  void keep(std::size_t lane, std::size_t k, std::span<const double> x_k,
+            const double* j, std::size_t stride);
+
+  const Mask* mask_;
+  Nonlinearity f_;
+  simd::Backend backend_;
+  std::size_t nx_;
+  std::size_t steps_;
+  std::size_t kept_;       // min(window, steps)
+  std::size_t lanes_ = 0;  // lanes of the last run
+  Vector j_;               // j(k) of a one-series run
+  SoaStep step_;
+  std::vector<DprrAccumulator> dprr_;  // one per lane
+  std::vector<Matrix> tail_states_;    // one per lane, (kept+1) x Nx
+  std::vector<Matrix> tail_j_;         // one per lane, kept x Nx
+};
+
 /// Forward pass that keeps only the last (window+1) states and window masked
-/// inputs (ring buffer), accumulating the DPRR streamingly. This is the
-/// memory-lean path the paper's truncated method enables; combined with
-/// backprop_through_dprr it never materializes the full trajectory.
+/// inputs, accumulating the DPRR streamingly: ForwardLanes over one lane.
+/// This is the memory-lean path the paper's truncated method enables;
+/// combined with backprop_through_dprr it never materializes the full
+/// trajectory.
 TruncatedForward run_forward_truncated(const ModularReservoir& reservoir,
                                        const DfrParams& params, const Mask& mask,
                                        const Matrix& series, std::size_t window);

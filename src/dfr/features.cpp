@@ -1,5 +1,8 @@
 #include "dfr/features.hpp"
 
+#include <algorithm>
+
+#include "dfr/backprop.hpp"
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -20,21 +23,36 @@ FeatureMatrix compute_features(const ModularReservoir& reservoir,
   out.labels.resize(n);
 
   if (representation == RepresentationKind::kDprr) {
-    // Streaming path: the DPRR accumulator needs only (x(k), x(k-1)), so each
-    // worker drives one reusable engine over a contiguous chunk instead of
-    // materializing a (T+1) x Nx trajectory per sample. Row i is a pure
-    // function of sample i, so any chunking / thread count yields a
-    // bit-identical matrix (see for_each_with_engine in serve/engine.hpp).
+    // Streaming path: the DPRR accumulator needs only (x(k), x(k-1)), so no
+    // (T+1) x Nx trajectory is materialized. Samples run in lockstep groups
+    // of kLanes consecutive rows (the last group may be short), and each
+    // worker drives one reusable ForwardLanes over a contiguous run of whole
+    // groups. Row i is a pure function of sample i, so any grouping / thread
+    // count yields a bit-identical matrix (see for_each_with_engine in
+    // serve/engine.hpp).
+    constexpr std::size_t kLanes = ForwardLanes::kLanes;
+    const double time_scale = dprr_time_scale(dataset.length());
     for_each_with_engine(
-        n, threads,
+        (n + kLanes - 1) / kLanes, threads,
         [&] {
-          return InferenceEngine(
-              FloatDatapath(mask, params, reservoir.nonlinearity()));
+          return ForwardLanes(reservoir, mask, dataset.length(), /*window=*/0);
         },
-        [&](InferenceEngine& engine, std::size_t i) {
-          const Sample& sample = dataset[i];
-          out.features.set_row(i, engine.features(sample.series));
-          out.labels[i] = sample.label;
+        [&](ForwardLanes& forward, std::size_t group) {
+          const std::size_t first = group * kLanes;
+          const std::size_t lanes = std::min(kLanes, n - first);
+          const Matrix* series[kLanes];
+          for (std::size_t l = 0; l < lanes; ++l) {
+            series[l] = &dataset[first + l].series;
+          }
+          forward.run(params, std::span<const Matrix* const>(series, lanes));
+          for (std::size_t l = 0; l < lanes; ++l) {
+            // The time-averaged DPRR (see dprr.hpp), as FloatDatapath
+            // finalizes it.
+            const Vector& r = forward.dprr(l);
+            const std::span<double> row = out.features.row(first + l);
+            for (std::size_t f = 0; f < dim; ++f) row[f] = r[f] * time_scale;
+            out.labels[first + l] = dataset[first + l].label;
+          }
         });
     return out;
   }

@@ -67,15 +67,7 @@ struct RidgeSystem {
       rhs = matmul_at_b(r_aug, targets);
       return;
     }
-    // Entry (j, i) is the same dot() as (i, j) with each product's factors
-    // swapped, which rounds identically, so the lower triangle is mirrored.
-    const std::size_t n = r_aug.rows();
-    lhs.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        lhs(i, j) = lhs(j, i) = dot(r_aug.row(i), r_aug.row(j));
-      }
-    }
+    lhs = gram_a_at(r_aug);  // every entry the dot() of its two rows
   }
 
   /// The system over rows `rows` of this one. A dual system over a dual one

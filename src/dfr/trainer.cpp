@@ -62,6 +62,20 @@ TrainResult Trainer::fit(const Dataset& train) const {
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // One lockstep forward per fit (memory-bounded unless full BPTT was
+  // requested, whose window is the whole series). While (A, B) stay fixed
+  // for the epoch, each kLanes consecutive samples of the shuffled order run
+  // as one group; the output step, backprop and update then run per sample
+  // in that order, so every result is the one-sample-at-a-time result.
+  // Per-sample reservoir updates move (A, B) after every sample, so there
+  // the group is one sample.
+  const std::size_t group =
+      config_.reservoir_epoch_update ? ForwardLanes::kLanes : 1;
+  ForwardLanes forward(reservoir, mask, train.length(), window, group);
+  result.stored_state_values = forward.stored_state_values();
+  Vector dprr_features(nr);
+  const Matrix* series[ForwardLanes::kLanes];
+
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
     const double lr_reservoir = lr_res.lr_at(epoch);
@@ -69,104 +83,100 @@ TrainResult Trainer::fit(const Dataset& train) const {
     double loss_sum = 0.0;
 
     double epoch_da = 0.0, epoch_db = 0.0;
-    for (std::size_t idx : order) {
-      const Sample& sample = train[idx];
-
-      // Forward (memory-bounded unless full BPTT was requested).
-      // The output layer consumes time-averaged DPRR features (dprr.hpp);
-      // the backprop engine keeps raw-sum semantics, so dL/d(sum) =
-      // time_scale * dL/d(avg).
-      const double time_scale = dprr_time_scale(sample.series.rows());
-      Vector dprr_features;
-      ReservoirGradients res_grads;
-      OutputLayer::Backward out_grads;
-      if (full_bptt) {
-        FullForward fwd = run_forward_full(reservoir, params, mask, sample.series);
-        result.stored_state_values =
-            std::max(result.stored_state_values, fwd.stored_state_values());
-        scale(fwd.dprr, time_scale);
-        out_grads = output.backward(fwd.dprr, sample.label);
-        scale(out_grads.dfeatures, time_scale);
-        res_grads = backprop_full(reservoir, params, fwd.states, fwd.j,
-                                  out_grads.dfeatures, config_.threads);
-        dprr_features = std::move(fwd.dprr);
-      } else {
-        TruncatedForward fwd =
-            run_forward_truncated(reservoir, params, mask, sample.series, window);
-        result.stored_state_values =
-            std::max(result.stored_state_values, fwd.stored_state_values());
-        scale(fwd.dprr, time_scale);
-        out_grads = output.backward(fwd.dprr, sample.label);
-        scale(out_grads.dfeatures, time_scale);
-        res_grads = backprop_through_dprr(reservoir, params, fwd.tail_states,
-                                          fwd.tail_j, out_grads.dfeatures,
-                                          fwd.tail_j.rows(), config_.threads);
-        dprr_features = std::move(fwd.dprr);
+    for (std::size_t first = 0; first < order.size(); first += group) {
+      const std::size_t lanes = std::min(group, order.size() - first);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        series[l] = &train[order[first + l]].series;
       }
-      loss_sum += out_grads.loss;
+      forward.run(params, std::span<const Matrix* const>(series, lanes));
 
-      double da = res_grads.da;
-      double db = res_grads.db;
-      if (!std::isfinite(da) || !std::isfinite(db) ||
-          !all_finite(out_grads.dlogits)) {
-        ++result.skipped_updates;
-        continue;
-      }
-      if (config_.reservoir_epoch_update) {
-        epoch_da += da;
-        epoch_db += db;
-      } else {
-        if (config_.normalized_step_scale > 0.0) {
-          const double norm = std::hypot(da, db);
-          if (norm > 0.0) {
-            da = config_.normalized_step_scale * da / norm;
-            db = config_.normalized_step_scale * db / norm;
-          }
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const Sample& sample = train[order[first + l]];
+
+        // The output layer consumes time-averaged DPRR features (dprr.hpp);
+        // the backprop engine keeps raw-sum semantics, so dL/d(sum) =
+        // time_scale * dL/d(avg).
+        const double time_scale = dprr_time_scale(sample.series.rows());
+        const Vector& r = forward.dprr(l);
+        for (std::size_t f = 0; f < nr; ++f) {
+          dprr_features[f] = r[f] * time_scale;
+        }
+        OutputLayer::Backward out_grads =
+            output.backward(dprr_features, sample.label);
+        scale(out_grads.dfeatures, time_scale);
+        const Matrix& tail_j = forward.tail_j(l);
+        const ReservoirGradients res_grads = backprop_through_dprr(
+            reservoir, params, forward.tail_states(l), tail_j,
+            out_grads.dfeatures, tail_j.rows(), config_.threads);
+        loss_sum += out_grads.loss;
+
+        double da = res_grads.da;
+        double db = res_grads.db;
+        if (!std::isfinite(da) || !std::isfinite(db) ||
+            !all_finite(out_grads.dlogits)) {
+          ++result.skipped_updates;
+          continue;
+        }
+        if (config_.reservoir_epoch_update) {
+          epoch_da += da;
+          epoch_db += db;
         } else {
-          da = clip(da, config_.grad_clip);
-          db = clip(db, config_.grad_clip);
+          if (config_.normalized_step_scale > 0.0) {
+            const double norm = std::hypot(da, db);
+            if (norm > 0.0) {
+              da = config_.normalized_step_scale * da / norm;
+              db = config_.normalized_step_scale * db / norm;
+            }
+          } else {
+            da = clip(da, config_.grad_clip);
+            db = clip(db, config_.grad_clip);
+          }
+          double ab[2] = {params.a, params.b};
+          const double grad_ab[2] = {da, db};
+          reservoir_opt.step(std::span<double>(ab, 2),
+                             std::span<const double>(grad_ab, 2), lr_reservoir);
+          if (config_.param_box > 0.0) {
+            ab[0] = std::clamp(ab[0], -config_.param_box, config_.param_box);
+            ab[1] = std::clamp(ab[1], -config_.param_box, config_.param_box);
+          }
+          params.a = ab[0];
+          params.b = ab[1];
         }
-        double ab[2] = {params.a, params.b};
-        const double grad_ab[2] = {da, db};
-        reservoir_opt.step(std::span<double>(ab, 2),
-                           std::span<const double>(grad_ab, 2), lr_reservoir);
-        if (config_.param_box > 0.0) {
-          ab[0] = std::clamp(ab[0], -config_.param_box, config_.param_box);
-          ab[1] = std::clamp(ab[1], -config_.param_box, config_.param_box);
-        }
-        params.a = ab[0];
-        params.b = ab[1];
-      }
 
-      // Output layer update.
-      double lr_output_eff = lr_output;
-      if (config_.nlms_output) {
-        lr_output_eff /= 1.0 + dot(dprr_features, dprr_features);
-      }
-      if (sgd_fast_path) {
-        output.apply_gradient(out_grads, dprr_features, lr_output_eff);
-      } else {
-        // Materialize the flat gradient [vec(dW), db] for stateful optimizers.
-        const std::size_t ny = out_grads.dlogits.size();
-        flat_output_grad.assign(ny * nr + ny, 0.0);
-        for (std::size_t c = 0; c < ny; ++c) {
-          const double dz = out_grads.dlogits[c];
-          double* row = flat_output_grad.data() + c * nr;
-          for (std::size_t r_i = 0; r_i < nr; ++r_i) row[r_i] = dz * dprr_features[r_i];
-          flat_output_grad[ny * nr + c] = dz;
+        // Output layer update.
+        double lr_output_eff = lr_output;
+        if (config_.nlms_output) {
+          lr_output_eff /= 1.0 + dot(dprr_features, dprr_features);
         }
-        // Pack parameters, step, unpack.
-        Vector flat_params(ny * nr + ny);
-        for (std::size_t c = 0; c < ny; ++c) {
-          const auto row = output.weights().row(c);
-          std::copy(row.begin(), row.end(), flat_params.begin() + c * nr);
-          flat_params[ny * nr + c] = output.bias()[c];
-        }
-        output_opt.step(flat_params, flat_output_grad, lr_output_eff);
-        for (std::size_t c = 0; c < ny; ++c) {
-          std::copy(flat_params.begin() + c * nr, flat_params.begin() + (c + 1) * nr,
-                    output.mutable_weights().row(c).begin());
-          output.mutable_bias()[c] = flat_params[ny * nr + c];
+        if (sgd_fast_path) {
+          output.apply_gradient(out_grads, dprr_features, lr_output_eff);
+        } else {
+          // Materialize the flat gradient [vec(dW), db] for stateful
+          // optimizers.
+          const std::size_t ny = out_grads.dlogits.size();
+          flat_output_grad.assign(ny * nr + ny, 0.0);
+          for (std::size_t c = 0; c < ny; ++c) {
+            const double dz = out_grads.dlogits[c];
+            double* row = flat_output_grad.data() + c * nr;
+            for (std::size_t r_i = 0; r_i < nr; ++r_i) {
+              row[r_i] = dz * dprr_features[r_i];
+            }
+            flat_output_grad[ny * nr + c] = dz;
+          }
+          // Pack parameters, step, unpack.
+          Vector flat_params(ny * nr + ny);
+          for (std::size_t c = 0; c < ny; ++c) {
+            const auto row = output.weights().row(c);
+            std::copy(row.begin(), row.end(), flat_params.begin() + c * nr);
+            flat_params[ny * nr + c] = output.bias()[c];
+          }
+          output_opt.step(flat_params, flat_output_grad, lr_output_eff);
+          for (std::size_t c = 0; c < ny; ++c) {
+            std::copy(flat_params.begin() + c * nr,
+                      flat_params.begin() + (c + 1) * nr,
+                      output.mutable_weights().row(c).begin());
+            output.mutable_bias()[c] = flat_params[ny * nr + c];
+          }
         }
       }
     }

@@ -13,6 +13,12 @@
 //
 // The default truncation_window = 1 is the paper's truncated backprop; 0
 // selects full BPTT (for the ablation and for gradient-exactness tests).
+//
+// While (A, B) stay fixed for an epoch (reservoir_epoch_update), the forward
+// passes of each ForwardLanes::kLanes consecutive samples of the shuffled
+// order run in lockstep (dfr/backprop.hpp); the output step, backprop and
+// updates then run per sample in that order, so results are bit-identical
+// to one sample at a time.
 
 #include <cstdint>
 #include <memory>
@@ -123,7 +129,10 @@ struct TrainResult {
   std::size_t skipped_updates = 0;  // non-finite gradients encountered
 
   // Memory accounting for Table 2: reservoir-state values held live during
-  // one training step.
+  // one training step, per series: (w+1)*Nx, or (T+1)*Nx under full BPTT.
+  // The lockstep forward (ForwardLanes) holds kLanes such tails at once,
+  // 8 x 2 x 30 = 480 values at w = 1 and Nx = 30, still independent of T;
+  // like its accumulator rings, that is not counted here.
   std::size_t stored_state_values = 0;
 
   [[nodiscard]] double total_seconds() const noexcept {

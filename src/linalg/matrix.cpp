@@ -203,6 +203,38 @@ Matrix gram_at_a(const Matrix& a, double lambda) {
   return g;
 }
 
+Matrix gram_a_at(const Matrix& a) {
+  const std::size_t n = a.rows(), p = a.cols();
+  Matrix k(n, n);
+  // Upper triangle, four entries (i, j..j+3) per pass over row i, then
+  // mirrored: entry (j, i) is the same dot with each product's factors
+  // swapped, which rounds identically.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ai = a.data() + i * p;
+    std::size_t j = i;
+    for (; j + 4 <= n; j += 4) {
+      const double* a0 = a.data() + j * p;
+      const double* a1 = a0 + p;
+      const double* a2 = a1 + p;
+      const double* a3 = a2 + p;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t c = 0; c < p; ++c) {
+        const double x = ai[c];
+        s0 += x * a0[c];
+        s1 += x * a1[c];
+        s2 += x * a2[c];
+        s3 += x * a3[c];
+      }
+      k(i, j) = k(j, i) = s0;
+      k(i, j + 1) = k(j + 1, i) = s1;
+      k(i, j + 2) = k(j + 2, i) = s2;
+      k(i, j + 3) = k(j + 3, i) = s3;
+    }
+    for (; j < n; ++j) k(i, j) = k(j, i) = dot(a.row(i), a.row(j));
+  }
+  return k;
+}
+
 void add_outer(Matrix& a, double alpha, std::span<const double> x,
                std::span<const double> y) {
   DFR_CHECK(a.rows() == x.size() && a.cols() == y.size());

@@ -178,6 +178,12 @@ Vector matvec_t(const Matrix& a, std::span<const double> x);
 /// G = A^T A + lambda I   (symmetric; only needs one pass over A's rows).
 Matrix gram_at_a(const Matrix& a, double lambda = 0.0);
 
+/// K = A A^T, the row kernel (symmetric). Entry (i, j) is bit-identical to
+/// dot(a.row(i), a.row(j)): four entries of a row share one pass over the
+/// columns, each summed from 0.0 in column order with a separate multiply
+/// and add.
+Matrix gram_a_at(const Matrix& a);
+
 /// Rank-1 update: A += alpha * x y^T.
 void add_outer(Matrix& a, double alpha, std::span<const double> x,
                std::span<const double> y);

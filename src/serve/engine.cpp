@@ -227,6 +227,15 @@ BatchedFloatDatapath::BatchedFloatDatapath(ModelArtifactPtr model,
                 "reservoir needs at least one virtual node");
 }
 
+BatchedFloatDatapath::BatchedFloatDatapath(const Mask& mask,
+                                           const DfrParams& params,
+                                           Nonlinearity f,
+                                           simd::Backend backend)
+    : mask_(&mask), params_(params), f_(f),
+      kernels_(&simd::kernels_for(backend)) {
+  DFR_CHECK_MSG(mask.nodes() > 0, "reservoir needs at least one virtual node");
+}
+
 void BatchedFloatDatapath::mask_soa(const double* u, double* j,
                                     std::size_t lanes) const {
   kernels_->batched_mask(mask_->weights().data(), mask_->nodes(),
@@ -316,10 +325,7 @@ template <typename P>
 BatchedEngine<P>::BatchedEngine(P datapath, std::size_t max_lanes)
     : datapath_(std::move(datapath)),
       max_lanes_(max_lanes),
-      u_soa_(datapath_.channels() * max_lanes, 0.0),
-      j_(datapath_.nodes() * max_lanes, 0.0),
-      x_prev_(datapath_.nodes() * max_lanes, 0.0),
-      x_cur_(datapath_.nodes() * max_lanes, 0.0),
+      step_(datapath_.nodes(), datapath_.channels(), max_lanes),
       r_(dprr_dim(datapath_.nodes()) * max_lanes, 0.0),
       feat_(dprr_dim(datapath_.nodes()), 0.0),
       logits_(
@@ -354,28 +360,14 @@ void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
 
   const std::size_t nx = datapath_.nodes();
   const std::size_t t_len = series[0]->rows();
-  const std::size_t count = nx * n;  // SoA stride = actual batch size
-  const std::size_t feat_count = dprr_dim(nx) * n;
+  const std::size_t feat_count = dprr_dim(nx) * n;  // SoA stride = batch size
   batch_size_ = n;
-  std::fill(x_prev_.begin(), x_prev_.begin() + count, 0.0);  // x(0) = 0
   std::fill(r_.begin(), r_.begin() + feat_count, 0.0);
 
-  const std::size_t channels = datapath_.channels();
+  step_.start(n);  // x(0) = 0
   for (std::size_t k = 0; k < t_len; ++k) {
-    // Gather this time step's raw inputs into SoA (channels*n cheap copies),
-    // then mask all lanes at once: j_[i*n + l] = (M u_l(k))_i. The batched
-    // mask kernel preserves the scalar dot() order per lane, so this stage
-    // stays bit-identical to per-lane Mask::apply_into.
-    for (std::size_t l = 0; l < n; ++l) {
-      const auto row = series[l]->row(k);
-      for (std::size_t v = 0; v < channels; ++v) u_soa_[v * n + l] = row[v];
-    }
-    datapath_.mask_soa(u_soa_.data(), j_.data(), n);
-    datapath_.quantize_masked(j_.data(), count);
-    datapath_.preadd(j_.data(), x_prev_.data(), x_cur_.data(), count);
-    datapath_.bchain(x_prev_.data() + (nx - 1) * n, x_cur_.data(), nx, n);
-    datapath_.dprr_add(r_.data(), x_cur_.data(), x_prev_.data(), nx, n);
-    std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
+    step_.advance(datapath_, series, k);
+    datapath_.dprr_add(r_.data(), step_.state(), step_.previous(), nx, n);
   }
   datapath_.finalize(r_.data(), feat_count, t_len);
 

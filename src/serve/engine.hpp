@@ -56,6 +56,7 @@
 #include "dfr/reservoir.hpp"
 #include "fixedpoint/quantized_dfr.hpp"
 #include "serve/simd_kernels.hpp"
+#include "serve/soa_step.hpp"
 #include "util/parallel.hpp"
 
 namespace dfr {
@@ -83,8 +84,8 @@ concept InferenceDatapath =
 /// constructor borrows, and the mask must outlive the datapath.
 class FloatDatapath {
  public:
-  /// Features-only pipeline (no readout): batch feature extraction. Borrows
-  /// `mask`.
+  /// Features-only pipeline (no readout): the scalar reference the lockstep
+  /// feature pass (dfr/backprop.hpp) is tested against. Borrows `mask`.
   FloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f);
 
   /// Full inference pipeline sharing ownership of `model`.
@@ -277,6 +278,11 @@ class BatchedFloatDatapath {
   explicit BatchedFloatDatapath(
       ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
 
+  /// Features-only stages (no readout): the lockstep training forward
+  /// (dfr/backprop.hpp). Borrows `mask`.
+  BatchedFloatDatapath(const Mask& mask, const DfrParams& params,
+                       Nonlinearity f, simd::Backend backend);
+
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
   [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
@@ -306,7 +312,7 @@ class BatchedFloatDatapath {
   }
 
  private:
-  ModelArtifactPtr artifact_;  // keepalive
+  ModelArtifactPtr artifact_;  // keepalive; null when borrowing
   const Mask* mask_;
   DfrParams params_;
   Nonlinearity f_;
@@ -395,10 +401,7 @@ class BatchedEngine {
   P datapath_;
   std::size_t max_lanes_;
   std::size_t batch_size_ = 0;  // lanes used by the last infer()
-  Vector u_soa_;       // SoA raw-input block, size channels*max_lanes
-  Vector j_;           // SoA masked-input block, size Nx*max_lanes
-  Vector x_prev_;      // SoA x(k-1) block, ping-ponged with x_cur_
-  Vector x_cur_;       // SoA x(k) block
+  SoaStep step_;       // SoA input, masked-input and state blocks
   Vector r_;           // SoA DPRR block, size dprr_dim(Nx)*max_lanes
   Vector feat_;        // per-lane gather row, size dprr_dim(Nx)
   Vector logits_;      // per-lane logits, size Ny*max_lanes

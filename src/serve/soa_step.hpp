@@ -1,0 +1,79 @@
+#pragma once
+// One reservoir time step over up to kBatchedMaxLanes series at once, in
+// structure-of-arrays form: the step body shared by the batched serving
+// engine (serve/engine.hpp, BatchedEngine) and the lockstep training forward
+// (dfr/backprop.hpp, ForwardLanes).
+//
+// Blocks are indexed [node*lanes + lane], where `lanes` is the count given
+// to start(). advance() gathers each lane's input row, then runs the
+// datapath's stages over the whole block: mask_soa -> quantize_masked ->
+// preadd (nonlinearity) -> bchain. What a caller does with the new state
+// (batched DPRR accumulate, or a scatter into per-lane accumulators) is its
+// own. Storage is allocated at construction; nothing after it allocates.
+
+#include <algorithm>
+#include <span>
+#include <utility>
+
+#include "linalg/matrix.hpp"
+
+namespace dfr {
+
+class SoaStep {
+ public:
+  SoaStep(std::size_t nx, std::size_t channels, std::size_t max_lanes)
+      : nx_(nx),
+        channels_(channels),
+        u_(channels * max_lanes, 0.0),
+        j_(nx * max_lanes, 0.0),
+        x_prev_(nx * max_lanes, 0.0),
+        x_(nx * max_lanes, 0.0) {}
+
+  /// x(0) = 0 in each of the first `lanes` lanes.
+  void start(std::size_t lanes) noexcept {
+    lanes_ = lanes;
+    std::fill_n(x_.begin(), nx_ * lanes, 0.0);
+  }
+
+  /// One step: lane l reads row k of *series[l] (series.size() == the
+  /// start() lane count, every series channels() wide). The state becomes
+  /// x(k+1) and the one before it previous().
+  template <typename Datapath>
+  void advance(const Datapath& datapath, std::span<const Matrix* const> series,
+               std::size_t k) {
+    const std::size_t n = lanes_;
+    const std::size_t count = nx_ * n;
+    // Gather this time step's raw inputs into SoA (channels*n cheap copies),
+    // then mask all lanes at once: j_[i*n + l] = (M u_l(k))_i. The batched
+    // mask kernel preserves the scalar dot() order per lane, so this stage
+    // stays bit-identical to per-lane Mask::apply_into.
+    for (std::size_t l = 0; l < n; ++l) {
+      const auto row = series[l]->row(k);
+      for (std::size_t v = 0; v < channels_; ++v) u_[v * n + l] = row[v];
+    }
+    std::swap(x_prev_, x_);  // pointer swap: no allocation
+    datapath.mask_soa(u_.data(), j_.data(), n);
+    datapath.quantize_masked(j_.data(), count);
+    datapath.preadd(j_.data(), x_prev_.data(), x_.data(), count);
+    datapath.bchain(x_prev_.data() + (nx_ - 1) * n, x_.data(), nx_, n);
+  }
+
+  /// The last step's SoA blocks: the masked input j(k), the state x(k) and
+  /// the state before it, x(k-1).
+  [[nodiscard]] const double* masked() const noexcept { return j_.data(); }
+  [[nodiscard]] const double* state() const noexcept { return x_.data(); }
+  [[nodiscard]] const double* previous() const noexcept {
+    return x_prev_.data();
+  }
+
+ private:
+  std::size_t nx_;
+  std::size_t channels_;
+  std::size_t lanes_ = 0;
+  Vector u_;       // raw inputs, channels x lanes
+  Vector j_;       // masked inputs, nx x lanes
+  Vector x_prev_;  // x(k-1), nx x lanes
+  Vector x_;       // x(k), nx x lanes
+};
+
+}  // namespace dfr

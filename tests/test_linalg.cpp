@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
@@ -243,6 +244,30 @@ TEST(Matrix, MatvecIntoMatchesMatvec) {
   EXPECT_EQ(y, expected);  // bitwise: same kernel
   Vector wrong_len(3);
   EXPECT_THROW(matvec_into(a, x, wrong_len), CheckError);
+}
+
+// The ridge dual kernel: every entry, in both triangles, has the bits of the
+// dot() of its two rows, for row counts that leave every remainder of the
+// four-entry pass.
+TEST(Matrix, GramAAtEntriesAreBitIdenticalToDot) {
+  Rng rng(17);
+  for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 80, 100}) {
+    Matrix a(n, 931);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.normal();
+    }
+    const Matrix k = gram_a_at(a);
+    ASSERT_EQ(k.rows(), n);
+    ASSERT_EQ(k.cols(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const double got = k(i, j);
+        const double expected = dot(a.row(i), a.row(j));
+        ASSERT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+            << "n=" << n << " entry (" << i << ", " << j << ")";
+      }
+    }
+  }
 }
 
 TEST(Stats, RunningStatsMatchesBatch) {
