@@ -7,7 +7,9 @@
 //     BM_ForwardLanes, the lockstep training forward per series by group
 //     size;
 //   * BM_Kernel, the serving kernel ledger: every simd::Kernels entry on
-//     every backend this host and build can run.
+//     every backend this host and build can run;
+//   * BM_BatchedInfer, one micro-batch through the batched serving engine,
+//     per series by batch size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +21,9 @@
 #include "dfr/output.hpp"
 #include "dfr/ridge.hpp"
 #include "linalg/cholesky.hpp"
+#include "serve/engine.hpp"
 #include "serve/simd_kernels.hpp"
+#include "serve/synth.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -106,6 +110,42 @@ BENCHMARK(BM_ForwardLanes)
     ->ArgsProduct({{10, 30, 100},
                    {1, static_cast<std::int64_t>(ForwardLanes::kLanes), 16}})
     ->ArgNames({"nx", "lanes"});
+
+// What serve-fleet's micro-batcher runs: one BatchedEngine::infer over
+// `lanes` series (T = 64, V = 2) of a synthetic serving model (Nx = 30) on
+// the active backend, float or quantized. items_per_second counts series.
+template <class Engine>
+void run_batched_infer(benchmark::State& state, Engine engine,
+                       std::size_t lanes) {
+  std::vector<Matrix> series;
+  std::vector<const Matrix*> batch;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    series.push_back(serve::make_synth_series(64, 2, 101 + l));
+  }
+  for (const Matrix& s : series) batch.push_back(&s);
+  for (auto _ : state) {
+    engine.infer(batch);
+    benchmark::DoNotOptimize(engine.lane_logits(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes));
+}
+
+void BM_BatchedInfer(benchmark::State& state, bool quantized) {
+  static const ModelArtifactPtr artifact =
+      serve::make_synth_artifact("bench", serve::SynthModelSpec{});
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  if (quantized) {
+    run_batched_infer(state, make_batched_engine(artifact->quantized, lanes),
+                      lanes);
+  } else {
+    run_batched_infer(state, make_batched_engine(artifact, lanes), lanes);
+  }
+}
+BENCHMARK_CAPTURE(BM_BatchedInfer, float, false)
+    ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(8);
+BENCHMARK_CAPTURE(BM_BatchedInfer, quant, true)
+    ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 
 void BM_BackpropFull(benchmark::State& state) {
   const Fixture fx(static_cast<std::size_t>(state.range(0)));
@@ -216,13 +256,13 @@ BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
 
 /// Random operands for one call at (nx, lanes, steps); state buffers are SoA
 /// (nx * lanes), `states` holds steps + 1 rows of nx, and r is the DPRR
-/// accumulator (dprr_dim(nx) * lanes).
+/// accumulator (dprr_dim(nx)).
 struct KernelBuffers {
   static constexpr std::size_t kChannels = 2;
   std::size_t nx, lanes, steps;
   Nonlinearity f;  // the default kind, as in the synthetic serving models
   FixedPointFormat fmt{4, 11};
-  Vector j, x_prev, x_k, out, r, weights, u, states;
+  Vector j, x_prev, out, r, weights, u, states;
 
   KernelBuffers(std::size_t nodes, std::size_t lane_count,
                 std::size_t step_count)
@@ -231,9 +271,8 @@ struct KernelBuffers {
         steps(step_count),
         j(random_vector(nodes * lane_count, 1)),
         x_prev(random_vector(nodes * lane_count, 2)),
-        x_k(random_vector(nodes * lane_count, 3)),
         out(nodes * lane_count, 0.0),
-        r(dprr_dim(nodes) * lane_count, 0.0),
+        r(dprr_dim(nodes), 0.0),
         weights(random_vector(nodes * kChannels, 4)),
         u(random_vector(kChannels * lane_count, 5)),
         states(random_vector((step_count + 1) * nodes, 6)) {}
@@ -297,18 +336,6 @@ const LedgerEntry kLedger[] = {
        k.batched_quant_bchain(0.0, b.fmt, b.x_prev.data(), b.out.data(), b.nx,
                               b.lanes);
        return b.out.data();
-     }},
-    {"batched_dprr_add", Shape::kBatched,
-     [](const simd::Kernels& k, KernelBuffers& b) {
-       k.batched_dprr_add(b.r.data(), b.x_k.data(), b.x_prev.data(), b.nx,
-                          b.lanes);
-       return b.r.data();
-     }},
-    {"batched_dprr_add_exact", Shape::kBatched,
-     [](const simd::Kernels& k, KernelBuffers& b) {
-       k.batched_dprr_add_exact(b.r.data(), b.x_k.data(), b.x_prev.data(),
-                                b.nx, b.lanes);
-       return b.r.data();
      }},
     {"batched_mask", Shape::kBatched,
      [](const simd::Kernels& k, KernelBuffers& b) {

@@ -158,13 +158,13 @@ void ForwardLanes::run(const DfrParams& params,
   }
   lanes_ = n;
   for (std::size_t l = 0; l < n; ++l) dprr_[l].reset();
+  const SimdFloatDatapath datapath(*mask_, params, f_, backend_);
 
   if (n == 1) {
-    // One series runs the single-series SIMD step, straight into the
-    // accumulator's ring: the same operations as one batched lane, but at
-    // one lane the batched mask and B-chain run wholly in their scalar
+    // One series runs the single-series step, straight into the
+    // accumulator's ring: the same operations as one SoA lane, but at one
+    // lane the batched mask and B-chain run wholly in their scalar
     // remainder, where they cost more (README, "Tuning cost").
-    const SimdFloatDatapath datapath(*mask_, params, f_, backend_);
     DprrAccumulator& dprr = dprr_[0];
     for (std::size_t k = 1; k <= steps_; ++k) {
       datapath.mask_into(series[0]->row(k - 1), j_);
@@ -175,7 +175,6 @@ void ForwardLanes::run(const DfrParams& params,
     return;
   }
 
-  const BatchedFloatDatapath datapath(*mask_, params, f_, backend_);
   step_.start(n);
   for (std::size_t k = 1; k <= steps_; ++k) {
     step_.advance(datapath, series, k - 1);  // x(k) and j(k)

@@ -82,8 +82,10 @@ struct TruncatedForward {
 
 /// The training forward: runs up to max_lanes() series of one shape in
 /// lockstep, one structure-of-arrays time step at a time (serve/soa_step.hpp)
-/// through the batched mask, preadd + nonlinearity and B-chain kernels of
-/// the active backend. Each lane's x(k) goes straight into that lane's exact
+/// through SimdFloatDatapath's SoA stages, the batched mask, preadd +
+/// nonlinearity and B-chain kernels of the active backend; a one-series run
+/// takes the same datapath's single-series step. Each lane's x(k) goes
+/// straight into that lane's exact
 /// DprrAccumulator and, when it falls in the last `window` steps, into the
 /// lane's tail. Per lane, the DPRR and the tail are bit-identical to
 /// stepping the series alone through Mask::apply_into and

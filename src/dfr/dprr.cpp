@@ -20,20 +20,17 @@ Vector dprr_from_states(const Matrix& states) {
   return r;
 }
 
-namespace {
-
-simd::DprrBlockFn block_kernel(DprrRounding rounding, simd::Backend backend) {
+simd::DprrBlockFn dprr_block_kernel(DprrRounding rounding,
+                                    simd::Backend backend) {
   const simd::Kernels& kernels = simd::kernels_for(backend);
   return rounding == DprrRounding::kFloat ? kernels.dprr_block
                                           : kernels.dprr_block_exact;
 }
 
-}  // namespace
-
 DprrAccumulator::DprrAccumulator(std::size_t nx, DprrRounding rounding,
                                  simd::Backend backend)
     : nx_(nx),
-      block_(block_kernel(rounding, backend)),
+      block_(dprr_block_kernel(rounding, backend)),
       ring_((kBlockSteps + 1) * nx, 0.0),
       r_(dprr_dim(nx), 0.0) {
   DFR_CHECK(nx > 0);

@@ -55,6 +55,11 @@ namespace dfr {
 /// scalar backend has no FMA kernel and rounds twice under both.
 enum class DprrRounding { kExact, kFloat };
 
+/// The block kernel of `rounding` on an explicit backend (simd::kernels_for
+/// semantics: throws CheckError when unavailable).
+[[nodiscard]] simd::DprrBlockFn dprr_block_kernel(DprrRounding rounding,
+                                                  simd::Backend backend);
+
 /// Streaming accumulator over one series at a time. A caller either steps
 /// its reservoir straight into the ring (previous() -> next(), then
 /// commit()) or hands in states it holds elsewhere (add). Storage is

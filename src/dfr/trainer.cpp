@@ -50,6 +50,32 @@ TrainResult Trainer::fit(const Dataset& train) const {
 
   Optimizer reservoir_opt({config_.optimizer});
   Optimizer output_opt({config_.optimizer});
+  // One reservoir update: the normalized step, or the clipped mean gradient
+  // (`divisor` samples: 1 per sample, train.size() per epoch), then the
+  // optimizer step and the box clamp.
+  const auto update_reservoir = [&](double da, double db, double divisor,
+                                    double lr) {
+    if (config_.normalized_step_scale > 0.0) {
+      const double norm = std::hypot(da, db);
+      if (norm > 0.0) {
+        da = config_.normalized_step_scale * da / norm;
+        db = config_.normalized_step_scale * db / norm;
+      }
+    } else {
+      da = clip(da / divisor, config_.grad_clip);
+      db = clip(db / divisor, config_.grad_clip);
+    }
+    double ab[2] = {params.a, params.b};
+    const double grad_ab[2] = {da, db};
+    reservoir_opt.step(std::span<double>(ab, 2),
+                       std::span<const double>(grad_ab, 2), lr);
+    if (config_.param_box > 0.0) {
+      ab[0] = std::clamp(ab[0], -config_.param_box, config_.param_box);
+      ab[1] = std::clamp(ab[1], -config_.param_box, config_.param_box);
+    }
+    params.a = ab[0];
+    params.b = ab[1];
+  };
   const bool sgd_fast_path = config_.optimizer == OptimizerKind::kSgd;
   Vector flat_output_grad;  // only for non-SGD optimizers
 
@@ -110,8 +136,8 @@ TrainResult Trainer::fit(const Dataset& train) const {
             out_grads.dfeatures, tail_j.rows(), config_.threads);
         loss_sum += out_grads.loss;
 
-        double da = res_grads.da;
-        double db = res_grads.db;
+        const double da = res_grads.da;
+        const double db = res_grads.db;
         if (!std::isfinite(da) || !std::isfinite(db) ||
             !all_finite(out_grads.dlogits)) {
           ++result.skipped_updates;
@@ -121,26 +147,7 @@ TrainResult Trainer::fit(const Dataset& train) const {
           epoch_da += da;
           epoch_db += db;
         } else {
-          if (config_.normalized_step_scale > 0.0) {
-            const double norm = std::hypot(da, db);
-            if (norm > 0.0) {
-              da = config_.normalized_step_scale * da / norm;
-              db = config_.normalized_step_scale * db / norm;
-            }
-          } else {
-            da = clip(da, config_.grad_clip);
-            db = clip(db, config_.grad_clip);
-          }
-          double ab[2] = {params.a, params.b};
-          const double grad_ab[2] = {da, db};
-          reservoir_opt.step(std::span<double>(ab, 2),
-                             std::span<const double>(grad_ab, 2), lr_reservoir);
-          if (config_.param_box > 0.0) {
-            ab[0] = std::clamp(ab[0], -config_.param_box, config_.param_box);
-            ab[1] = std::clamp(ab[1], -config_.param_box, config_.param_box);
-          }
-          params.a = ab[0];
-          params.b = ab[1];
+          update_reservoir(da, db, 1.0, lr_reservoir);
         }
 
         // Output layer update.
@@ -183,27 +190,8 @@ TrainResult Trainer::fit(const Dataset& train) const {
 
     if (config_.reservoir_epoch_update &&
         std::isfinite(epoch_da) && std::isfinite(epoch_db)) {
-      double da = epoch_da, db = epoch_db;
-      if (config_.normalized_step_scale > 0.0) {
-        const double norm = std::hypot(da, db);
-        if (norm > 0.0) {
-          da = config_.normalized_step_scale * da / norm;
-          db = config_.normalized_step_scale * db / norm;
-        }
-      } else {
-        da = clip(da / static_cast<double>(train.size()), config_.grad_clip);
-        db = clip(db / static_cast<double>(train.size()), config_.grad_clip);
-      }
-      double ab[2] = {params.a, params.b};
-      const double grad_ab[2] = {da, db};
-      reservoir_opt.step(std::span<double>(ab, 2),
-                         std::span<const double>(grad_ab, 2), lr_reservoir);
-      if (config_.param_box > 0.0) {
-        ab[0] = std::clamp(ab[0], -config_.param_box, config_.param_box);
-        ab[1] = std::clamp(ab[1], -config_.param_box, config_.param_box);
-      }
-      params.a = ab[0];
-      params.b = ab[1];
+      update_reservoir(epoch_da, epoch_db, static_cast<double>(train.size()),
+                       lr_reservoir);
     }
 
     result.history.push_back({epoch,

@@ -52,7 +52,7 @@ void FloatDatapath::step(std::span<const double> j,
   reservoir_.step(params_, j, x_prev, x_out);
 }
 
-void FloatDatapath::finalize(Vector& r, std::size_t t_len) const {
+void FloatDatapath::finalize(std::span<double> r, std::size_t t_len) const {
   scale(r, dprr_time_scale(t_len));  // time-averaged DPRR (see dprr.hpp)
 }
 
@@ -93,10 +93,11 @@ void QuantizedDatapath::step(std::span<const double> j,
   }
 }
 
-void QuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
+void QuantizedDatapath::finalize(std::span<double> r,
+                                 std::size_t t_len) const {
   // Time-average (matches the trained readout) plus residual prescale.
   scale(r, dprr_time_scale(t_len) / feature_scale_);
-  feature_format_.quantize(r);
+  for (double& v : r) v = feature_format_.quantize(v);
 }
 
 // ---- SimdFloatDatapath -----------------------------------------------------
@@ -148,7 +149,24 @@ void SimdFloatDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdFloatDatapath::finalize(Vector& r, std::size_t t_len) const {
+void SimdFloatDatapath::mask_soa(const double* u, double* j,
+                                 std::size_t lanes) const {
+  kernels_->batched_mask(mask_->weights().data(), nodes(), channels(), u, j,
+                         lanes);
+}
+
+void SimdFloatDatapath::step_soa(const double* j, const double* x_prev,
+                                 double* x_out, std::size_t lanes) const {
+  const std::size_t nx = nodes();
+  // The preadd is a pure per-element map, so running it over the whole SoA
+  // block performs exactly step()'s operations per lane.
+  kernels_->preadd_nonlin(f_, params_.a, j, x_prev, x_out, nx * lanes);
+  // Each lane's chain continues from its own x(k-1)_{Nx}, the last row.
+  kernels_->batched_bchain(params_.b, x_prev + (nx - 1) * lanes, x_out, nx,
+                           lanes);
+}
+
+void SimdFloatDatapath::finalize(std::span<double> r, std::size_t t_len) const {
   scale(r, dprr_time_scale(t_len));  // time-averaged DPRR (see dprr.hpp)
 }
 
@@ -205,7 +223,26 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
+void SimdQuantizedDatapath::mask_soa(const double* u, double* j,
+                                     std::size_t lanes) const {
+  kernels_->batched_mask(mask_->weights().data(), nodes(), channels(), u, j,
+                         lanes);
+  // mask_into's per-element round-to-format, over the whole block.
+  kernels_->scale_quantize(state_format_, 1.0 / state_scale_, j,
+                           nodes() * lanes);
+}
+
+void SimdQuantizedDatapath::step_soa(const double* j, const double* x_prev,
+                                     double* x_out, std::size_t lanes) const {
+  const std::size_t nx = nodes();
+  kernels_->quant_preadd_nonlin(f_, params_.a, state_format_, j, x_prev, x_out,
+                                nx * lanes);
+  kernels_->batched_quant_bchain(params_.b, state_format_,
+                                 x_prev + (nx - 1) * lanes, x_out, nx, lanes);
+}
+
+void SimdQuantizedDatapath::finalize(std::span<double> r,
+                                     std::size_t t_len) const {
   // Time-average plus residual prescale plus feature quantization — the
   // same per-element ops as QuantizedDatapath::finalize, one fused pass.
   kernels_->scale_quantize(feature_format_,
@@ -213,121 +250,16 @@ void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
                            r.size());
 }
 
-// ---- BatchedFloatDatapath --------------------------------------------------
-
-BatchedFloatDatapath::BatchedFloatDatapath(ModelArtifactPtr model,
-                                           simd::Backend backend)
-    : artifact_(checked_artifact(std::move(model))),
-      mask_(&artifact_->mask),
-      params_(artifact_->params),
-      f_(artifact_->nonlinearity),
-      kernels_(&simd::kernels_for(backend)),
-      readout_(&artifact_->readout) {
-  DFR_CHECK_MSG(artifact_->mask.nodes() > 0,
-                "reservoir needs at least one virtual node");
-}
-
-BatchedFloatDatapath::BatchedFloatDatapath(const Mask& mask,
-                                           const DfrParams& params,
-                                           Nonlinearity f,
-                                           simd::Backend backend)
-    : mask_(&mask), params_(params), f_(f),
-      kernels_(&simd::kernels_for(backend)) {
-  DFR_CHECK_MSG(mask.nodes() > 0, "reservoir needs at least one virtual node");
-}
-
-void BatchedFloatDatapath::mask_soa(const double* u, double* j,
-                                    std::size_t lanes) const {
-  kernels_->batched_mask(mask_->weights().data(), mask_->nodes(),
-                         mask_->channels(), u, j, lanes);
-}
-
-void BatchedFloatDatapath::quantize_masked(double*, std::size_t) const {}
-
-void BatchedFloatDatapath::preadd(const double* j, const double* x_prev,
-                                  double* x_out, std::size_t count) const {
-  // Pure per-element map, so running it over the whole SoA block performs
-  // exactly the per-lane operations of the single-series preadd stage.
-  kernels_->preadd_nonlin(f_, params_.a, j, x_prev, x_out, count);
-}
-
-void BatchedFloatDatapath::bchain(const double* head, double* x, std::size_t nx,
-                                  std::size_t lanes) const {
-  kernels_->batched_bchain(params_.b, head, x, nx, lanes);
-}
-
-void BatchedFloatDatapath::dprr_add(double* r, const double* x_k,
-                                    const double* x_km1, std::size_t nx,
-                                    std::size_t lanes) const {
-  kernels_->batched_dprr_add(r, x_k, x_km1, nx, lanes);
-}
-
-void BatchedFloatDatapath::finalize(double* r, std::size_t count,
-                                    std::size_t t_len) const {
-  scale(std::span<double>(r, count), dprr_time_scale(t_len));
-}
-
-// ---- BatchedQuantizedDatapath ----------------------------------------------
-
-BatchedQuantizedDatapath::BatchedQuantizedDatapath(
-    std::shared_ptr<const QuantizedDfr> model, simd::Backend backend)
-    : owner_((checked_deref(model), std::move(model))),
-      mask_(&owner_->model().mask),
-      params_(owner_->model().params),
-      f_(owner_->model().nonlinearity),
-      state_format_(owner_->config().state_format),
-      feature_format_(owner_->config().feature_format),
-      state_scale_(owner_->scales().state),
-      feature_scale_(owner_->scales().feature),
-      kernels_(&simd::kernels_for(backend)),
-      readout_(&owner_->quantized_readout()) {
-  DFR_CHECK_MSG(mask_->nodes() > 0, "reservoir needs at least one virtual node");
-}
-
-void BatchedQuantizedDatapath::mask_soa(const double* u, double* j,
-                                        std::size_t lanes) const {
-  kernels_->batched_mask(mask_->weights().data(), mask_->nodes(),
-                         mask_->channels(), u, j, lanes);
-}
-
-void BatchedQuantizedDatapath::quantize_masked(double* j,
-                                               std::size_t count) const {
-  // Same ops as the scalar path per element: v = Q_state(v * (1/state_scale)).
-  kernels_->scale_quantize(state_format_, 1.0 / state_scale_, j, count);
-}
-
-void BatchedQuantizedDatapath::preadd(const double* j, const double* x_prev,
-                                      double* x_out, std::size_t count) const {
-  kernels_->quant_preadd_nonlin(f_, params_.a, state_format_, j, x_prev, x_out,
-                                count);
-}
-
-void BatchedQuantizedDatapath::bchain(const double* head, double* x,
-                                      std::size_t nx, std::size_t lanes) const {
-  kernels_->batched_quant_bchain(params_.b, state_format_, head, x, nx, lanes);
-}
-
-void BatchedQuantizedDatapath::dprr_add(double* r, const double* x_k,
-                                        const double* x_km1, std::size_t nx,
-                                        std::size_t lanes) const {
-  kernels_->batched_dprr_add_exact(r, x_k, x_km1, nx, lanes);
-}
-
-void BatchedQuantizedDatapath::finalize(double* r, std::size_t count,
-                                        std::size_t t_len) const {
-  kernels_->scale_quantize(feature_format_,
-                           dprr_time_scale(t_len) / feature_scale_, r, count);
-}
-
 // ---- BatchedEngine ---------------------------------------------------------
 
 template <typename P>
 BatchedEngine<P>::BatchedEngine(P datapath, std::size_t max_lanes)
     : datapath_(std::move(datapath)),
+      dprr_block_(dprr_block_kernel(P::kDprrRounding, datapath_.backend())),
       max_lanes_(max_lanes),
       step_(datapath_.nodes(), datapath_.channels(), max_lanes),
+      pair_(2 * datapath_.nodes(), 0.0),
       r_(dprr_dim(datapath_.nodes()) * max_lanes, 0.0),
-      feat_(dprr_dim(datapath_.nodes()), 0.0),
       logits_(
           (datapath_.readout()
                ? static_cast<std::size_t>(datapath_.readout()->num_classes())
@@ -359,23 +291,30 @@ void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
   DFR_CHECK_MSG(out != nullptr, "batched datapath has no readout");
 
   const std::size_t nx = datapath_.nodes();
+  const std::size_t dim = dprr_dim(nx);
   const std::size_t t_len = series[0]->rows();
-  const std::size_t feat_count = dprr_dim(nx) * n;  // SoA stride = batch size
   batch_size_ = n;
-  std::fill(r_.begin(), r_.begin() + feat_count, 0.0);
+  std::fill_n(r_.begin(), dim * n, 0.0);
 
   step_.start(n);  // x(0) = 0
   for (std::size_t k = 0; k < t_len; ++k) {
     step_.advance(datapath_, series, k);
-    datapath_.dprr_add(r_.data(), step_.state(), step_.previous(), nx, n);
+    const double* x_prev = step_.previous();
+    const double* x = step_.state();
+    for (std::size_t l = 0; l < n; ++l) {
+      for (std::size_t i = 0; i < nx; ++i) {
+        pair_[i] = x_prev[i * n + l];
+        pair_[nx + i] = x[i * n + l];
+      }
+      dprr_block_(r_.data() + l * dim, pair_.data(), 1, nx);
+    }
   }
-  datapath_.finalize(r_.data(), feat_count, t_len);
+  datapath_.finalize(std::span<double>(r_.data(), dim * n), t_len);
 
   const std::size_t ny = static_cast<std::size_t>(out->num_classes());
   for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t f = 0; f < feat_.size(); ++f) feat_[f] = r_[f * n + l];
     const std::span<double> lane(logits_.data() + l * ny, ny);
-    out->logits_into(feat_, lane);
+    out->logits_into(std::span<const double>(r_.data() + l * dim, dim), lane);
     labels_[l] = static_cast<int>(
         std::max_element(lane.begin(), lane.end()) - lane.begin());
   }
@@ -395,21 +334,20 @@ int BatchedEngine<P>::lane_label(std::size_t lane) const {
 }
 
 template <typename P>
-std::span<const double> BatchedEngine<P>::lane_features(std::size_t lane) {
+std::span<const double> BatchedEngine<P>::lane_features(
+    std::size_t lane) const {
   DFR_CHECK_MSG(lane < batch_size_, "lane index beyond the last batch size");
-  for (std::size_t f = 0; f < feat_.size(); ++f) {
-    feat_[f] = r_[f * batch_size_ + lane];
-  }
-  return feat_;
+  const std::size_t dim = r_.size() / max_lanes_;
+  return std::span<const double>(r_.data() + lane * dim, dim);
 }
 
-template class BatchedEngine<BatchedFloatDatapath>;
-template class BatchedEngine<BatchedQuantizedDatapath>;
+template class BatchedEngine<SimdFloatDatapath>;
+template class BatchedEngine<SimdQuantizedDatapath>;
 
 BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
                                            std::size_t max_lanes,
                                            simd::Backend backend) {
-  return BatchedInferenceEngine(BatchedFloatDatapath(std::move(model), backend),
+  return BatchedInferenceEngine(SimdFloatDatapath(std::move(model), backend),
                                 max_lanes);
 }
 
@@ -417,7 +355,7 @@ BatchedQuantizedInferenceEngine make_batched_engine(
     std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes,
     simd::Backend backend) {
   return BatchedQuantizedInferenceEngine(
-      BatchedQuantizedDatapath(std::move(model), backend), max_lanes);
+      SimdQuantizedDatapath(std::move(model), backend), max_lanes);
 }
 
 // ---- BasicEngine -----------------------------------------------------------

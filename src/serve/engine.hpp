@@ -15,7 +15,8 @@
 // buffer), so classify performs ZERO heap allocations in steady state
 // (test_serve.cpp instruments operator new to enforce this).
 //
-// What varies between deployments is captured by a Datapath policy:
+// What varies between deployments is captured by a Datapath policy, four in
+// all: two scalar references and one SIMD datapath per numeric family.
 // FloatDatapath executes the exact double-precision arithmetic of the
 // trained model; QuantizedDatapath executes the calibrated fixed-point
 // arithmetic of quantized_dfr.hpp — both bit-identical to the per-series
@@ -30,8 +31,15 @@
 // (fixed-point rounding is exact; see the quantized contract in
 // simd_kernels.hpp). Every datapath accumulates the DPRR through the same
 // time-blocked kernel; a policy only names its rounding and backend through
-// make_accumulator(): FMA rounding for SimdFloatDatapath, exact for the
-// others, so those three stay bit-identical to the DPRR definition.
+// make_accumulator() (the SIMD datapaths state theirs once, kDprrRounding):
+// FMA rounding for SimdFloatDatapath, exact for the others, so those three
+// stay bit-identical to the DPRR definition.
+//
+// The two SIMD datapaths also run a step over many series at once, in
+// structure-of-arrays form (mask_soa, step_soa): BatchedEngine serves a
+// micro-batch through them, one lane per request, and accumulates each
+// lane's DPRR through the same block kernel, so a batched lane is
+// bit-identical to BasicEngine over the same datapath.
 //
 // Ownership: the full-inference datapaths hold a reference-counted
 // ModelArtifactPtr (see model_io.hpp), so an engine keeps its model alive
@@ -69,13 +77,13 @@ namespace dfr {
 template <typename P>
 concept InferenceDatapath =
     requires(const P& p, std::span<const double> in, std::span<double> out,
-             Vector& r, std::size_t t_len) {
+             std::size_t t_len) {
       { p.nodes() } -> std::convertible_to<std::size_t>;
       { p.channels() } -> std::convertible_to<std::size_t>;
       { p.mask_into(in, out) };
       { p.step(in, in, out) };
       { p.make_accumulator() } -> std::same_as<DprrAccumulator>;
-      { p.finalize(r, t_len) };
+      { p.finalize(out, t_len) };
       { p.readout() } -> std::convertible_to<const OutputLayer*>;
     };
 
@@ -104,7 +112,7 @@ class FloatDatapath {
   [[nodiscard]] DprrAccumulator make_accumulator() const {
     return DprrAccumulator(nodes());
   }
-  void finalize(Vector& r, std::size_t t_len) const;
+  void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
   /// The owned artifact (null for the borrowing features-only pipeline).
   [[nodiscard]] const ModelArtifactPtr& artifact() const noexcept {
@@ -140,7 +148,7 @@ class QuantizedDatapath {
   [[nodiscard]] DprrAccumulator make_accumulator() const {
     return DprrAccumulator(nodes());
   }
-  void finalize(Vector& r, std::size_t t_len) const;
+  void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
 
  private:
@@ -155,17 +163,27 @@ class QuantizedDatapath {
   const OutputLayer* readout_;
 };
 
-/// Float datapath over runtime-dispatched SIMD kernels. Executes the same
-/// pipeline as FloatDatapath with the vectorizable stages (masked-input
-/// preadd, nonlinearity) routed through serve/simd_kernels.hpp, the
-/// serialized B-chain as a scalar pass, and the DPRR on its backend's
-/// FMA-rounded block kernel.
+/// Float datapath over runtime-dispatched SIMD kernels, for one series at a
+/// time (BasicEngine) and for up to simd::kBatchedMaxLanes series in
+/// lockstep (BatchedEngine, ForwardLanes). Executes the same pipeline as
+/// FloatDatapath with the vectorizable stages (masked-input preadd,
+/// nonlinearity) routed through serve/simd_kernels.hpp, the serialized
+/// B-chain as a scalar pass, and the DPRR on its backend's FMA-rounded block
+/// kernel. The SoA stages (mask_soa, step_soa) run the batched mask and
+/// B-chain kernels over blocks indexed [node*lanes + lane]: every vector
+/// operation spans independent series, so the B-chain vectorizes ACROSS
+/// series, and each lane rounds exactly like step() (bit-identical states on
+/// x86-64; the batched contract of simd_kernels.hpp).
 /// Equivalence to FloatDatapath is governed by the ULP contract documented
 /// in simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound
 /// on finalized features). The artifact constructors share ownership of the
 /// model; the features-only constructor borrows the mask.
 class SimdFloatDatapath {
  public:
+  /// The DPRR accumulate's rounding, the single-series ring's and the
+  /// batched lanes' alike: FMA, the float family's one rounding.
+  static constexpr DprrRounding kDprrRounding = DprrRounding::kFloat;
+
   /// Features-only pipeline on an explicit backend (kernels_for semantics:
   /// throws CheckError when unavailable). Borrows `mask`.
   SimdFloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f,
@@ -189,11 +207,19 @@ class SimdFloatDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// FMA rounding (the float family's single rounding) on this backend.
+  /// Input mask over one time step's SoA input block (`u[v*lanes + l]` =
+  /// lane l's channel v): j[i*lanes + l] accumulates in the scalar dot()
+  /// order per lane, so the stage is bit-identical to mask_into per lane.
+  void mask_soa(const double* u, double* j, std::size_t lanes) const;
+  /// step() over SoA blocks of `lanes` series: the preadd + nonlinearity
+  /// over all nodes()*lanes values, then the cross-lane B-chain.
+  void step_soa(const double* j, const double* x_prev, double* x_out,
+                std::size_t lanes) const;
   [[nodiscard]] DprrAccumulator make_accumulator() const {
-    return DprrAccumulator(nodes(), DprrRounding::kFloat, backend());
+    return DprrAccumulator(nodes(), kDprrRounding, backend());
   }
-  void finalize(Vector& r, std::size_t t_len) const;
+  /// Time-averages any number of whole DPRR vectors laid end to end.
+  void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
   /// The owned artifact (null for the borrowing features-only pipeline).
   [[nodiscard]] const ModelArtifactPtr& artifact() const noexcept {
@@ -209,19 +235,25 @@ class SimdFloatDatapath {
   const OutputLayer* readout_ = nullptr;
 };
 
-/// Calibrated fixed-point datapath over runtime-dispatched SIMD kernels.
+/// Calibrated fixed-point datapath over runtime-dispatched SIMD kernels, for
+/// one series (BasicEngine) or a batch in lockstep (BatchedEngine).
 /// Executes the same pipeline as QuantizedDatapath with the vectorizable
 /// stages (masked-input round-to-format, quantized preadd + nonlinearity,
 /// feature scale+quantize, and the exact DPRR block) routed through
-/// serve/simd_kernels.hpp; the quantized B-chain (which serializes through
-/// the per-node round-to-format) stays a scalar pass. Unlike the float ULP
-/// contract, every stage is BIT-IDENTICAL to the scalar QuantizedDatapath
-/// on every backend (see the quantized contract in simd_kernels.hpp;
-/// asserted EXPECT_EQ-strict by test_simd_quant.cpp). The shared_ptr
-/// constructors share ownership; the reference constructors borrow and the
-/// QuantizedDfr must outlive the datapath.
+/// serve/simd_kernels.hpp; the single-series quantized B-chain (which
+/// serializes through the per-node round-to-format) stays a scalar pass, and
+/// the SoA one vectorizes across lanes. Unlike the float ULP contract, every
+/// stage is BIT-IDENTICAL to the scalar QuantizedDatapath on every backend,
+/// batched lanes included (see the quantized contract in simd_kernels.hpp;
+/// asserted EXPECT_EQ-strict by test_simd_quant.cpp and test_batched.cpp).
+/// The shared_ptr constructors share ownership; the reference constructors
+/// borrow and the QuantizedDfr must outlive the datapath.
 class SimdQuantizedDatapath {
  public:
+  /// The DPRR accumulate's rounding, the single-series ring's and the
+  /// batched lanes' alike: exact (no FMA), like the scalar reference.
+  static constexpr DprrRounding kDprrRounding = DprrRounding::kExact;
+
   /// Borrows `model`. The default backend is simd::active_backend(); an
   /// explicit one follows kernels_for semantics (throws CheckError when
   /// unavailable).
@@ -240,11 +272,17 @@ class SimdQuantizedDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Exact (no-FMA) rounding on this backend.
+  /// mask_into over an SoA input block (see SimdFloatDatapath::mask_soa):
+  /// the batched mask, then the round-to-state-format over the block.
+  void mask_soa(const double* u, double* j, std::size_t lanes) const;
+  /// step() over SoA blocks of `lanes` series.
+  void step_soa(const double* j, const double* x_prev, double* x_out,
+                std::size_t lanes) const;
   [[nodiscard]] DprrAccumulator make_accumulator() const {
-    return DprrAccumulator(nodes(), DprrRounding::kExact, backend());
+    return DprrAccumulator(nodes(), kDprrRounding, backend());
   }
-  void finalize(Vector& r, std::size_t t_len) const;
+  /// Scales and quantizes any number of whole DPRR vectors laid end to end.
+  void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
 
  private:
@@ -260,116 +298,19 @@ class SimdQuantizedDatapath {
   const OutputLayer* readout_;
 };
 
-/// Batched (SoA) float datapath: the stage set BatchedEngine drives over up
-/// to simd::kBatchedMaxLanes concurrent series transposed into
-/// structure-of-arrays form (state buffers indexed [node*lanes + lane]).
-/// Every vector operation spans independent lanes, so the B-chain that
-/// serializes the single-series SIMD path vectorizes ACROSS requests and
-/// lanes stay full at any Nx. Per-lane equivalence: bit-identical states to
-/// FloatDatapath on x86-64 (the batched B-chain never uses FMA), finalized
-/// features within simd_feature_ulp_bound of the scalar pipeline — the same
-/// contract as SimdFloatDatapath, and bit-identical per lane to the
-/// single-series SIMD engine (both FMA once per DPRR accumulate). Shares
-/// ownership of the artifact.
-class BatchedFloatDatapath {
- public:
-  /// An explicit backend follows kernels_for semantics (throws when
-  /// unavailable).
-  explicit BatchedFloatDatapath(
-      ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
-
-  /// Features-only stages (no readout): the lockstep training forward
-  /// (dfr/backprop.hpp). Borrows `mask`.
-  BatchedFloatDatapath(const Mask& mask, const DfrParams& params,
-                       Nonlinearity f, simd::Backend backend);
-
-  [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
-  [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
-  [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
-  /// Batched input mask over one time step's SoA input block
-  /// (`u[v*lanes + l]` = lane l's channel v): j[i*lanes + l] accumulates
-  /// in the scalar dot() order per lane, so the stage is bit-identical to
-  /// the unbatched mask on every backend.
-  void mask_soa(const double* u, double* j, std::size_t lanes) const;
-  /// Post-mask masked-input transform over the whole SoA block
-  /// (`count` = nx*lanes). No-op for the float family.
-  void quantize_masked(double* j, std::size_t count) const;
-  /// Elementwise preadd + nonlinearity over the whole SoA block.
-  void preadd(const double* j, const double* x_prev, double* x_out,
-              std::size_t count) const;
-  /// Cross-lane-vectorized B-chain (see BatchedBChainFn).
-  void bchain(const double* head, double* x, std::size_t nx,
-              std::size_t lanes) const;
-  /// Batched DPRR accumulate into the SoA feature block.
-  void dprr_add(double* r, const double* x_k, const double* x_km1,
-                std::size_t nx, std::size_t lanes) const;
-  /// Feature finalization over the whole SoA block (`count` =
-  /// dprr_dim(nx)*lanes).
-  void finalize(double* r, std::size_t count, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
-  [[nodiscard]] const ModelArtifactPtr& artifact() const noexcept {
-    return artifact_;
-  }
-
- private:
-  ModelArtifactPtr artifact_;  // keepalive; null when borrowing
-  const Mask* mask_;
-  DfrParams params_;
-  Nonlinearity f_;
-  const simd::Kernels* kernels_;
-  const OutputLayer* readout_ = nullptr;
-};
-
-/// Batched (SoA) fixed-point datapath: the quantized twin of
-/// BatchedFloatDatapath with the STRICT contract — every stage rounds
-/// exactly like the scalar QuantizedDatapath per lane (no FMA anywhere), so
-/// batched quantized lanes are BIT-IDENTICAL to the scalar pipeline on every
-/// backend (asserted EXPECT_EQ-strict by test_batched.cpp). Shares ownership
-/// of the calibrated model.
-class BatchedQuantizedDatapath {
- public:
-  /// An explicit backend follows kernels_for semantics (throws when
-  /// unavailable).
-  explicit BatchedQuantizedDatapath(
-      std::shared_ptr<const QuantizedDfr> model,
-      simd::Backend backend = simd::active_backend());
-
-  [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
-  [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
-  [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
-  void mask_soa(const double* u, double* j, std::size_t lanes) const;
-  /// Vectorized round-to-state-format over the whole SoA block.
-  void quantize_masked(double* j, std::size_t count) const;
-  void preadd(const double* j, const double* x_prev, double* x_out,
-              std::size_t count) const;
-  void bchain(const double* head, double* x, std::size_t nx,
-              std::size_t lanes) const;
-  void dprr_add(double* r, const double* x_k, const double* x_km1,
-                std::size_t nx, std::size_t lanes) const;
-  void finalize(double* r, std::size_t count, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
-
- private:
-  std::shared_ptr<const QuantizedDfr> owner_;  // keepalive
-  const Mask* mask_;
-  DfrParams params_;
-  Nonlinearity f_;
-  FixedPointFormat state_format_;
-  FixedPointFormat feature_format_;
-  double state_scale_ = 1.0;    // states divided by this (power of two)
-  double feature_scale_ = 1.0;  // residual feature prescaler (power of two)
-  const simd::Kernels* kernels_;
-  const OutputLayer* readout_;
-};
-
-/// Cross-request batched engine: runs one series per lane through the SoA
-/// pipeline, up to `max_lanes` lanes per call. All scratch (SoA state
-/// blocks, the DPRR block, per-lane logits) is preallocated for `max_lanes`
-/// at construction, so infer() performs zero heap allocations in steady
-/// state regardless of the batch size actually submitted. Lanes are
-/// independent: lane l's results depend only on series[l] (asserted by
-/// test_batched.cpp against varying batchmates). One engine per worker; not
-/// thread-safe.
+/// Cross-request batched engine over a SIMD datapath: runs one series per
+/// lane, up to `max_lanes` lanes per call. Each time step runs the
+/// datapath's SoA stages over every lane at once (serve/soa_step.hpp); then
+/// each lane's x(k-1), x(k) pair is gathered into one shared 2 x Nx scratch
+/// and accumulated into that lane's own DPRR row by the datapath's block
+/// kernel, one step per call: the operations the single-series engine's
+/// ring runs, so every lane is bit-identical to BasicEngine over the same
+/// datapath. All scratch (SoA state blocks, the pair, the per-lane DPRR
+/// rows and logits) is preallocated for `max_lanes` at construction, so
+/// infer() performs zero heap allocations in steady state regardless of the
+/// batch size actually submitted. Lanes are independent: lane l's results
+/// depend only on series[l] (asserted by test_batched.cpp against varying
+/// batchmates). One engine per worker; not thread-safe.
 template <typename P>
 class BatchedEngine {
  public:
@@ -380,7 +321,8 @@ class BatchedEngine {
   /// series must share one (rows, cols) shape with cols == channels()
   /// (the server's micro-batcher only coalesces same-shape requests).
   /// Throws CheckError otherwise. Results are read per lane via
-  /// lane_logits/lane_label and stay valid until the next infer() call.
+  /// lane_logits/lane_label/lane_features and stay valid until the next
+  /// infer() call.
   void infer(std::span<const Matrix* const> series);
 
   /// Lane l's logits from the last infer() (lane < that call's batch size).
@@ -389,30 +331,29 @@ class BatchedEngine {
   /// Lane l's argmax label from the last infer().
   [[nodiscard]] int lane_label(std::size_t lane) const;
 
-  /// Lane l's finalized feature vector, gathered from the SoA block into a
-  /// shared scratch row: the span is invalidated by the next lane_features
-  /// or infer call. Exposed for equivalence tests.
-  [[nodiscard]] std::span<const double> lane_features(std::size_t lane);
+  /// Lane l's finalized feature vector from the last infer().
+  [[nodiscard]] std::span<const double> lane_features(std::size_t lane) const;
 
   [[nodiscard]] std::size_t max_lanes() const noexcept { return max_lanes_; }
   [[nodiscard]] const P& datapath() const noexcept { return datapath_; }
 
  private:
   P datapath_;
+  simd::DprrBlockFn dprr_block_;  // P::kDprrRounding on the datapath's backend
   std::size_t max_lanes_;
   std::size_t batch_size_ = 0;  // lanes used by the last infer()
   SoaStep step_;       // SoA input, masked-input and state blocks
-  Vector r_;           // SoA DPRR block, size dprr_dim(Nx)*max_lanes
-  Vector feat_;        // per-lane gather row, size dprr_dim(Nx)
+  Vector pair_;        // one lane's x(k-1), x(k): 2 x Nx
+  Vector r_;           // lane l's DPRR at [l, l+1) * dprr_dim(Nx)
   Vector logits_;      // per-lane logits, size Ny*max_lanes
   std::vector<int> labels_;  // per-lane argmax, size max_lanes
 };
 
-using BatchedInferenceEngine = BatchedEngine<BatchedFloatDatapath>;
-using BatchedQuantizedInferenceEngine = BatchedEngine<BatchedQuantizedDatapath>;
+using BatchedInferenceEngine = BatchedEngine<SimdFloatDatapath>;
+using BatchedQuantizedInferenceEngine = BatchedEngine<SimdQuantizedDatapath>;
 
-extern template class BatchedEngine<BatchedFloatDatapath>;
-extern template class BatchedEngine<BatchedQuantizedDatapath>;
+extern template class BatchedEngine<SimdFloatDatapath>;
+extern template class BatchedEngine<SimdQuantizedDatapath>;
 
 /// Batched float engine sharing ownership of an immutable artifact, on the
 /// active backend (or an explicit one; throws CheckError when unavailable).
@@ -505,7 +446,9 @@ extern template class BasicEngine<SimdQuantizedDatapath>;
 /// Chunked per-worker-engine fan-out shared by classify_batch and the batch
 /// feature extractor: runs body(engine, i) once for every i in [0, n), with
 /// one engine constructed per contiguous chunk so scratch is reused across a
-/// chunk's series. Because each body invocation depends only on index i (the
+/// chunk's series. A serial call (threads = 1, or from inside a pool body,
+/// where parallel_for runs serially anyway) is one chunk, so it builds one
+/// engine. Because each body invocation depends only on index i (the
 /// engine's scratch carries no state across calls), results are bit-identical
 /// for any `threads` value (0 = all cores, 1 = serial — the
 /// util/parallel.hpp convention).
@@ -514,7 +457,10 @@ void for_each_with_engine(std::size_t n, unsigned threads,
                           const MakeEngine& make_engine_fn, const Body& body) {
   if (n == 0) return;
   const std::size_t slots = threads == 0 ? hardware_threads() : threads;
-  const std::size_t chunks = std::min(n, slots * 4);  // mild oversubscription
+  const std::size_t chunks =
+      slots == 1 || inside_parallel_region()
+          ? 1
+          : std::min(n, slots * 4);  // mild oversubscription
   parallel_for(
       chunks,
       [&](std::size_t c) {

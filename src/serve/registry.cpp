@@ -141,10 +141,10 @@ BatchedEngineStorage build_batched_engine(ModelArtifactPtr artifact,
   if (variant == EngineVariant::kQuantized) {
     return BatchedEngineStorage(
         std::in_place_type<BatchedQuantizedInferenceEngine>,
-        BatchedQuantizedDatapath(quantized_twin(artifact)), max_lanes);
+        SimdQuantizedDatapath(quantized_twin(artifact)), max_lanes);
   }
   return BatchedEngineStorage(std::in_place_type<BatchedInferenceEngine>,
-                              BatchedFloatDatapath(std::move(artifact)),
+                              SimdFloatDatapath(std::move(artifact)),
                               max_lanes);
 }
 

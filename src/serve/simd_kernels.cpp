@@ -80,23 +80,6 @@ void batched_quant_bchain_scalar(double b, const FixedPointFormat& fmt,
   }
 }
 
-// Batched SoA DPRR accumulate; like dprr_block_scalar this rounds twice per
-// accumulate, so it doubles as the exact quantized-family kernel.
-void batched_dprr_add_scalar(double* r, const double* x_k, const double* x_km1,
-                             std::size_t nx, std::size_t lanes) {
-  double* sums = r + nx * nx * lanes;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* xi = x_k + i * lanes;
-    for (std::size_t j = 0; j < nx; ++j) {
-      double* row = r + (i * nx + j) * lanes;
-      const double* xj = x_km1 + j * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) row[l] += xi[l] * xj[l];
-    }
-    double* sum_row = sums + i * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) sum_row[l] += xi[l];
-  }
-}
-
 void batched_mask_scalar(const double* weights, std::size_t nx,
                          std::size_t channels, const double* u, double* j,
                          std::size_t lanes) {
@@ -122,8 +105,6 @@ constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &dprr_block_scalar,
                                  &batched_bchain_scalar,
                                  &batched_quant_bchain_scalar,
-                                 &batched_dprr_add_scalar,
-                                 &batched_dprr_add_scalar,
                                  &batched_mask_scalar};
 
 bool cpu_supports_avx2_fma() noexcept {

@@ -19,7 +19,8 @@
 // of once per step. Each element of r still sees the same operations in the
 // same time order, so a block is bit-identical to its steps run one call
 // each, under either rounding. DprrAccumulator (dfr/dprr.hpp) feeds it from
-// a ring of recent states; dprr_from_states runs it over a stored trajectory.
+// a ring of recent states; dprr_from_states runs it over a stored trajectory;
+// the batched engine runs it one step per call on each lane's own r.
 //
 // Backends are selected at RUNTIME, not by compile flags: the ISA-specific
 // translation units (simd_kernels_avx2.cpp, simd_kernels_avx512.cpp,
@@ -129,25 +130,27 @@ using QuantPreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
 //
 // The single-series kernels above vectorize WITHIN one series, so the B-chain
 // serializes and Nx < vector-width reservoirs leave lanes empty. The batched
-// family transposes up to kBatchedMaxLanes concurrent series into
-// structure-of-arrays form — state buffers are indexed [node*lanes + lane],
-// DPRR accumulators [(i*nx + j)*lanes + lane] — so every vector operation
-// spans INDEPENDENT series: the per-node B-chain dependence crosses rows,
-// never lanes, and lanes stay full at any Nx.
+// family — the input mask and the two B-chains — transposes up to
+// kBatchedMaxLanes concurrent series into structure-of-arrays form, state
+// buffers indexed [node*lanes + lane], so every vector operation spans
+// INDEPENDENT series: the per-node B-chain dependence crosses rows, never
+// lanes, and lanes stay full at any Nx. The DPRR has no batched entry: each
+// lane's x(k-1), x(k) pair is gathered out of the SoA block and accumulated
+// into that lane's own r by dprr_block / dprr_block_exact, one step per call.
 //
 // Per-lane equivalence contract (x86-64; the aarch64 caveat above applies):
-//   * batched_bchain performs one multiply and one add per node per lane in
-//     node order, exactly like the scalar B-chain — never FMA — so batched
-//     float states are bit-identical per lane to the single-series path on
-//     every backend.
-//   * batched_dprr_add uses explicit FMA per accumulate, exactly like the
-//     single-series dprr_block; batched float features therefore match
-//     the single-series SIMD engine bit-identically per lane and the scalar
+//   * batched_mask and batched_bchain perform the scalar mask's and B-chain's
+//     multiplies and adds per lane in the same order — never FMA — so
+//     batched float states are bit-identical per lane to the single-series
+//     path on every backend. A lane's DPRR runs the single-series block
+//     kernel on those states, so batched float features match the
+//     single-series SIMD engine bit-identically per lane and the scalar
 //     FloatDatapath within simd_feature_ulp_bound (same contract as above).
-//   * batched_quant_bchain and batched_dprr_add_exact never use FMA and
-//     round exactly like the scalar fixed-point pipeline: batched quantized
-//     lanes are BIT-IDENTICAL to the scalar QuantizedDatapath on every
-//     backend (asserted EXPECT_EQ-strict by test_batched.cpp).
+//   * batched_quant_bchain never uses FMA and rounds exactly like the scalar
+//     fixed-point B-chain, and quantized lanes accumulate through
+//     dprr_block_exact: batched quantized lanes are BIT-IDENTICAL to the
+//     scalar QuantizedDatapath on every backend (asserted EXPECT_EQ-strict
+//     by test_batched.cpp).
 // The elementwise stages (preadd_nonlin, quant_preadd_nonlin,
 // scale_quantize) are reused unchanged over nx*lanes-element SoA blocks —
 // they are pure per-element maps, so the SoA layout cannot change rounding.
@@ -171,16 +174,6 @@ using BatchedQuantBChainFn = void (*)(double b, const FixedPointFormat& fmt,
                                       const double* head, double* x,
                                       std::size_t nx, std::size_t lanes);
 
-/// Batched SoA DPRR accumulate: for every lane l,
-/// r[(i*nx + j)*lanes + l] += x_k[i*lanes + l] * x_km1[j*lanes + l] and
-/// r[(nx*nx + i)*lanes + l] += x_k[i*lanes + l]. `r` holds
-/// dprr_dim(nx) * lanes entries. The float-family kernel uses explicit FMA
-/// (single rounding per accumulate); the exact-family twin rounds twice
-/// like dprr_block_exact.
-using BatchedDprrAddFn = void (*)(double* r, const double* x_k,
-                                  const double* x_km1, std::size_t nx,
-                                  std::size_t lanes);
-
 /// Batched SoA input mask: for every lane l,
 /// j[i*lanes + l] = sum_v weights[i*channels + v] * u[v*lanes + l],
 /// accumulated from 0.0 in ascending v with separate multiply and add
@@ -196,8 +189,7 @@ using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
 /// single rounding, ULP-bounded); `dprr_block_exact` rounds twice per
 /// accumulate like the scalar reference and is bit-identical to it on every
 /// backend (the quantized family and all training use it). The batched_*
-/// members follow the same float/exact split over the SoA layout documented
-/// above, one step per call.
+/// members run one step per call over the SoA layout documented above.
 struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;
@@ -207,8 +199,6 @@ struct Kernels {
   DprrBlockFn dprr_block_exact;
   BatchedBChainFn batched_bchain;
   BatchedQuantBChainFn batched_quant_bchain;
-  BatchedDprrAddFn batched_dprr_add;
-  BatchedDprrAddFn batched_dprr_add_exact;
   BatchedMaskFn batched_mask;
 };
 

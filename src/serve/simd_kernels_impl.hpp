@@ -298,45 +298,6 @@ void batched_quant_bchain(double b, const FixedPointFormat& fmt,
                    });
 }
 
-// Batched SoA DPRR accumulate: every (i, j) cross product is one full-width
-// accumulate over the lane dimension — nx^2 vector ops per step with no
-// serial chain, full lanes at any Nx. Lane blocks are the outer loop over j
-// so each block's x_k[i] values load once, not once per j (the stores
-// through `row` may alias x_k as far as the compiler knows, so a load inside
-// the j loop would repeat every iteration). Each (i, j, l) element is
-// touched exactly once either way.
-//
-// GCC unrolls the j loop 4x. A micro-batch narrower than the vector runs
-// wholly in the scalar remainder, where one element per iteration made this
-// loop's speed depend on where it landed relative to the instruction fetch
-// window: perfbench serve-fleet capacity moved by 15% between two g++ builds
-// that differed only in loop alignment (-falign-loops). Clang builds keep
-// Clang's own unrolling choice, unmeasured here.
-template <class Ops, Accumulate kMode>
-void batched_dprr_add(double* r, const double* x_k, const double* x_km1,
-                      std::size_t nx, std::size_t lanes) {
-  double* sums = r + nx * nx * lanes;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* xi = x_k + i * lanes;
-    double* block = r + i * nx * lanes;
-    for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
-      const typename O::vec vxi = O::load(xi + l);
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC unroll 4
-#endif
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        O::store(row, madd<O, kMode>(vxi, O::load(x_km1 + j * lanes + l),
-                                     O::load(row)));
-      }
-    });
-    double* sum_row = sums + i * lanes;
-    for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
-      O::store(sum_row + l, O::add(O::load(sum_row + l), O::load(xi + l)));
-    });
-  }
-}
-
 // Batched SoA mask: broadcast one weight, multiply by the channel's lane
 // vector, accumulate with separate mul + add in ascending v — the scalar
 // dot() order per lane, so every lane is bit-identical to Mask::apply_into.
@@ -366,8 +327,6 @@ constexpr Kernels kernel_table(Backend backend) noexcept {
                  &dprr_block<Ops, Accumulate::kExact>,
                  &batched_bchain<Ops>,
                  &batched_quant_bchain<Ops>,
-                 &batched_dprr_add<Ops, Accumulate::kFloat>,
-                 &batched_dprr_add<Ops, Accumulate::kExact>,
                  &batched_mask<Ops>};
 }
 

@@ -5,11 +5,13 @@
 // (dfr/backprop.hpp, ForwardLanes).
 //
 // Blocks are indexed [node*lanes + lane], where `lanes` is the count given
-// to start(). advance() gathers each lane's input row, then runs the
-// datapath's stages over the whole block: mask_soa -> quantize_masked ->
-// preadd (nonlinearity) -> bchain. What a caller does with the new state
-// (batched DPRR accumulate, or a scatter into per-lane accumulators) is its
-// own. Storage is allocated at construction; nothing after it allocates.
+// to start(). advance() gathers each lane's input row, then runs a SIMD
+// datapath's two SoA stages over the whole block: mask_soa (the mask and,
+// for the quantized family, its round-to-format) -> step_soa (preadd +
+// nonlinearity, then the cross-lane B-chain). What a caller does with the
+// new state is its own: both callers gather each lane's states out of the
+// block into that lane's DPRR. Storage is allocated at construction;
+// nothing after it allocates.
 
 #include <algorithm>
 #include <span>
@@ -42,7 +44,6 @@ class SoaStep {
   void advance(const Datapath& datapath, std::span<const Matrix* const> series,
                std::size_t k) {
     const std::size_t n = lanes_;
-    const std::size_t count = nx_ * n;
     // Gather this time step's raw inputs into SoA (channels*n cheap copies),
     // then mask all lanes at once: j_[i*n + l] = (M u_l(k))_i. The batched
     // mask kernel preserves the scalar dot() order per lane, so this stage
@@ -53,9 +54,7 @@ class SoaStep {
     }
     std::swap(x_prev_, x_);  // pointer swap: no allocation
     datapath.mask_soa(u_.data(), j_.data(), n);
-    datapath.quantize_masked(j_.data(), count);
-    datapath.preadd(j_.data(), x_prev_.data(), x_.data(), count);
-    datapath.bchain(x_prev_.data() + (nx_ - 1) * n, x_.data(), nx_, n);
+    datapath.step_soa(j_.data(), x_prev_.data(), x_.data(), n);
   }
 
   /// The last step's SoA blocks: the masked input j(k), the state x(k) and
