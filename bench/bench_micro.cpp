@@ -6,8 +6,8 @@
 //   * forward / DPRR / mask / ridge kernels for profiling context, and
 //     BM_ForwardLanes, the lockstep training forward per series by group
 //     size;
-//   * BM_Kernel, the serving kernel ledger: every simd::Kernels entry on
-//     every backend this host and build can run;
+//   * BM_Kernel, the kernel ledger: every simd::Kernels entry on every
+//     backend this host and build can run;
 //   * BM_BatchedInfer, one micro-batch through the batched serving engine,
 //     per series by batch size.
 #include <benchmark/benchmark.h>
@@ -244,15 +244,18 @@ void BM_CholeskyFactor(benchmark::State& state) {
 BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
     ->Unit(benchmark::kMillisecond);
 
-// ---- serving kernel ledger ---------------------------------------------------
+// ---- kernel ledger -----------------------------------------------------------
 // One row per simd::Kernels entry x available backend x shape, named
 // BM_Kernel/<entry>/<backend>/nx:<Nx>[/lanes:<lanes>][/steps:<steps>]. Each
 // iteration is the call one reservoir step makes, or for the DPRR block
 // entries the call one block of `steps` steps makes: single-series entries
 // at Nx in {10, 30, 100, 300}, the block entries at steps 1 and
-// DprrAccumulator::kBlockSteps, batched entries at Nx = 30 over lanes in
-// {1, 3, 8, 16}. items_per_second counts series-steps, so every row compares
-// directly.
+// DprrAccumulator::kBlockSteps, batched entries at Nx in {10, 30, 100} over
+// lanes in {1, 3, 8, 16}. items_per_second counts series-steps, so every row
+// compares directly. The ridge products run at ECG's dual shapes instead,
+// one call per iteration: BM_Kernel/<entry>/<backend>/n:<N>/p:932 over N in
+// {80, 100} rows (the fit rows and all rows of select_ridge) of 931 features
+// plus the bias feature, with Ny = 2 for back_project.
 
 /// Random operands for one call at (nx, lanes, steps); state buffers are SoA
 /// (nx * lanes), `states` holds steps + 1 rows of nx, and r is the DPRR
@@ -345,6 +348,49 @@ const LedgerEntry kLedger[] = {
      }},
 };
 
+/// Operands of the ridge products at one of ECG's dual shapes: n rows of
+/// dprr_dim(30) = 931 features, read in place with the bias feature, and
+/// Ny = 2 coefficients per row.
+struct RidgeBuffers {
+  static constexpr std::size_t kFeatures = 931;
+  static constexpr std::size_t kClasses = 2;
+  std::size_t n;
+  Vector x, alpha, k, w, b;
+  std::vector<const double*> rows;
+
+  explicit RidgeBuffers(std::size_t row_count)
+      : n(row_count),
+        x(KernelBuffers::random_vector(row_count * kFeatures, 7)),
+        alpha(KernelBuffers::random_vector(row_count * kClasses, 8)),
+        k(row_count * row_count),
+        w(kClasses * kFeatures),
+        b(kClasses),
+        rows(row_count) {
+    for (std::size_t i = 0; i < n; ++i) rows[i] = x.data() + i * kFeatures;
+  }
+};
+
+struct RidgeLedgerEntry {
+  const char* name;
+  double* (*run)(const simd::Kernels& k, RidgeBuffers& b);
+};
+
+const RidgeLedgerEntry kRidgeLedger[] = {
+    {"row_gram",
+     [](const simd::Kernels& k, RidgeBuffers& b) {
+       k.row_gram(b.rows.data(), b.n, RidgeBuffers::kFeatures, true,
+                  b.k.data());
+       return b.k.data();
+     }},
+    {"back_project",
+     [](const simd::Kernels& k, RidgeBuffers& b) {
+       k.back_project(b.rows.data(), b.n, RidgeBuffers::kFeatures,
+                      b.alpha.data(), RidgeBuffers::kClasses, b.w.data(),
+                      b.b.data());
+       return b.w.data();
+     }},
+};
+
 void register_kernel_ledger() {
   for (simd::Backend backend :
        {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
@@ -385,11 +431,29 @@ void register_kernel_ledger() {
             add(nx, 1, DprrAccumulator::kBlockSteps);
             break;
           case Shape::kBatched:
-            if (nx == 30) {
+            if (nx != 300) {
               for (std::size_t lanes : {1, 3, 8, 16}) add(nx, lanes, 1);
             }
             break;
         }
+      }
+    }
+    for (const RidgeLedgerEntry& entry : kRidgeLedger) {
+      for (std::size_t n : {80, 100}) {
+        const std::string name = std::string("BM_Kernel/") + entry.name +
+                                 "/" + simd::backend_name(backend) +
+                                 "/n:" + std::to_string(n) + "/p:" +
+                                 std::to_string(RidgeBuffers::kFeatures + 1);
+        const auto run = [&entry, backend, n](benchmark::State& state) {
+          const simd::Kernels& kernels = simd::kernels_for(backend);
+          RidgeBuffers buffers(n);
+          for (auto _ : state) {
+            benchmark::DoNotOptimize(entry.run(kernels, buffers));
+            benchmark::ClobberMemory();
+          }
+        };
+        benchmark::RegisterBenchmark(name.c_str(), run)
+            ->Unit(benchmark::kMicrosecond);
       }
     }
   }

@@ -25,6 +25,60 @@ double cross_entropy(std::span<const double> probs, int label) {
   return -std::log(std::max(probs[static_cast<std::size_t>(label)], 1e-300));
 }
 
+namespace {
+
+/// out[a] = dot(w row a, f) for the kRows rows of W from `w` (row stride n),
+/// all in one pass over f: each row summed from 0.0 in column order with a
+/// separate multiply and add, so each has dot()'s bits. With kNorm it also
+/// returns dot(f, f), summed in the same pass.
+template <std::size_t kRows, bool kNorm>
+double dot_rows(const double* w, std::size_t n, const double* f, double* out) {
+  double sums[kRows] = {};
+  double norm = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    const double x = f[c];
+    for (std::size_t a = 0; a < kRows; ++a) sums[a] += w[a * n + c] * x;
+    if constexpr (kNorm) norm += x * x;
+  }
+  for (std::size_t a = 0; a < kRows; ++a) out[a] = sums[a];
+  return norm;
+}
+
+/// Up to four rows of W in one pass (dot_rows).
+template <bool kNorm>
+double dot_row_block(const double* w, std::size_t rows, std::size_t n,
+                     const double* f, double* out) {
+  switch (rows) {
+    case 1: return dot_rows<1, kNorm>(w, n, f, out);
+    case 2: return dot_rows<2, kNorm>(w, n, f, out);
+    case 3: return dot_rows<3, kNorm>(w, n, f, out);
+    default: return dot_rows<4, kNorm>(w, n, f, out);
+  }
+}
+
+/// z = W f + b, four class rows per pass over f: each row is dot()'s sum,
+/// then + b. Returns dot(f, f), summed in the first pass, when `with_norm`.
+double logits_pass(const Matrix& w, const Vector& b,
+                   std::span<const double> f, std::span<double> z,
+                   bool with_norm) {
+  DFR_CHECK_MSG(w.cols() == f.size(), "logits: feature length mismatch");
+  DFR_CHECK_MSG(w.rows() == z.size(), "logits: output length mismatch");
+  const std::size_t ny = w.rows(), n = w.cols();
+  double norm = 0.0;
+  for (std::size_t c = 0; c < ny; c += 4) {
+    const double* wc = w.data() + c * n;
+    if (with_norm && c == 0) {
+      norm = dot_row_block<true>(wc, ny - c, n, f.data(), z.data() + c);
+    } else {
+      dot_row_block<false>(wc, ny - c, n, f.data(), z.data() + c);
+    }
+  }
+  for (std::size_t c = 0; c < ny; ++c) z[c] += b[c];
+  return norm;
+}
+
+}  // namespace
+
 OutputLayer::OutputLayer(int num_classes, std::size_t feature_dim)
     : w_(static_cast<std::size_t>(num_classes), feature_dim),
       b_(static_cast<std::size_t>(num_classes), 0.0) {
@@ -44,8 +98,7 @@ Vector OutputLayer::logits(std::span<const double> features) const {
 
 void OutputLayer::logits_into(std::span<const double> features,
                               std::span<double> out) const {
-  matvec_into(w_, features, out);
-  for (std::size_t c = 0; c < out.size(); ++c) out[c] += b_[c];
+  logits_pass(w_, b_, features, out, false);
 }
 
 Vector OutputLayer::probabilities(std::span<const double> features) const {
@@ -66,7 +119,9 @@ double OutputLayer::loss(std::span<const double> features, int label) const {
 OutputLayer::Backward OutputLayer::backward(std::span<const double> features,
                                             int label) const {
   Backward out;
-  out.probs = probabilities(features);
+  Vector z(w_.rows());
+  out.features_sq = logits_pass(w_, b_, features, z, true);
+  out.probs = softmax(z);
   out.loss = cross_entropy(out.probs, label);
   out.dlogits = out.probs;
   out.dlogits[static_cast<std::size_t>(label)] -= 1.0;

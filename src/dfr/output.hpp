@@ -35,6 +35,8 @@ class OutputLayer {
 
   [[nodiscard]] Vector logits(std::span<const double> features) const;
   /// Logits into a caller-owned buffer (length num_classes(); no allocation).
+  /// Every class row is summed in one pass over the features, four rows at
+  /// a time; each logit is still dot(W row, features), then + b, bit for bit.
   void logits_into(std::span<const double> features, std::span<double> out) const;
   [[nodiscard]] Vector probabilities(std::span<const double> features) const;
   [[nodiscard]] int predict(std::span<const double> features) const;
@@ -43,6 +45,7 @@ class OutputLayer {
   /// Forward + backward for one sample.
   struct Backward {
     double loss = 0.0;
+    double features_sq = 0.0;  // dot(features, features), from the logits pass
     Vector probs;      // y
     Vector dlogits;    // y - d
     Vector dfeatures;  // W^T (y - d) — propagated into the DPRR layer

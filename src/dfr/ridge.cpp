@@ -27,17 +27,6 @@ FeatureMatrix gather_rows(const FeatureMatrix& fm,
   return out;
 }
 
-/// R with a trailing column of ones (bias feature).
-Matrix augment_bias(const Matrix& r) {
-  Matrix out(r.rows(), r.cols() + 1);
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    const auto row = r.row(i);
-    std::copy(row.begin(), row.end(), out.row(i).begin());
-    out(i, r.cols()) = 1.0;
-  }
-  return out;
-}
-
 /// Split the augmented solution X ((p+1) x Ny) into (W: Ny x p, b: Ny).
 OutputLayer layer_from_augmented(const Matrix& x_aug) {
   const std::size_t p = x_aug.rows() - 1;
@@ -51,20 +40,28 @@ OutputLayer layer_from_augmented(const Matrix& x_aug) {
   return OutputLayer(std::move(w), std::move(b));
 }
 
-/// The beta-free normal equations over one set of rows.
+/// The beta-free normal equations over one set of rows, read in place with
+/// the bias feature: R_aug = [R, 1] is never materialized.
 struct RidgeSystem {
-  Matrix r_aug;    // N x (p+1)
+  RowRefs r_aug;   // N rows of p features, plus the bias feature
   Matrix targets;  // N x Ny, one-hot
   Matrix lhs;      // dual: R_aug R_aug^T (N x N); primal: R_aug^T R_aug
   Matrix rhs;      // primal only: R_aug^T D
 
-  [[nodiscard]] bool dual() const { return r_aug.rows() < r_aug.cols(); }
+  [[nodiscard]] bool dual() const { return r_aug.size() < r_aug.width(); }
 
   /// Fill lhs (and rhs) from r_aug and targets.
   void build() {
     if (!dual()) {
       lhs = gram_at_a(r_aug);
-      rhs = matmul_at_b(r_aug, targets);
+      Matrix w;
+      Vector b;
+      back_project(targets, r_aug, w, b);  // (R_aug^T D)^T
+      rhs = Matrix(r_aug.width(), targets.cols());
+      for (std::size_t c = 0; c < targets.cols(); ++c) {
+        for (std::size_t f = 0; f < r_aug.cols; ++f) rhs(f, c) = w(c, f);
+        rhs(r_aug.cols, c) = b[c];
+      }
       return;
     }
     lhs = gram_a_at(r_aug);  // every entry the dot() of its two rows
@@ -73,7 +70,7 @@ struct RidgeSystem {
   /// The system over rows `rows` of this one. A dual system over a dual one
   /// reads its kernel as a sub-block; any other is built afresh.
   [[nodiscard]] RidgeSystem sub(std::span<const std::size_t> rows) const {
-    RidgeSystem out{gather_rows(r_aug, rows), gather_rows(targets, rows), {}, {}};
+    RidgeSystem out{r_aug.subset(rows), gather_rows(targets, rows), {}, {}};
     if (!out.dual() || !dual()) {
       out.build();
       return out;
@@ -95,9 +92,12 @@ struct RidgeSystem {
     for (std::size_t i = 0; i < shifted.rows(); ++i) shifted(i, i) += beta;
     const CholeskySolver solver(shifted);
     if (!solver.ok()) return std::nullopt;
-    // Dual: alpha = (K + beta I)^{-1} D, then W_aug^T = R_aug^T alpha.
-    return layer_from_augmented(dual() ? matmul_at_b(r_aug, solver.solve(targets))
-                                       : solver.solve(rhs));
+    if (!dual()) return layer_from_augmented(solver.solve(rhs));
+    // Dual: alpha = (K + beta I)^{-1} D, then [W, b] = alpha^T R_aug.
+    Matrix w;
+    Vector b;
+    back_project(solver.solve(targets), r_aug, w, b);
+    return OutputLayer(std::move(w), std::move(b));
   }
 
   [[nodiscard]] OutputLayer solve_or_throw(double beta) const {
@@ -107,11 +107,13 @@ struct RidgeSystem {
   }
 };
 
+/// The system over every row of `fm`. It reads fm's rows in place, so fm
+/// must outlive it.
 RidgeSystem system_over(const FeatureMatrix& fm, int num_classes) {
   DFR_CHECK_MSG(fm.features.rows() == fm.labels.size() && !fm.labels.empty(),
                 "feature/label mismatch");
-  RidgeSystem sys{augment_bias(fm.features), one_hot(fm.labels, num_classes),
-                  {}, {}};
+  RidgeSystem sys{RowRefs(fm.features, /*bias=*/true),
+                  one_hot(fm.labels, num_classes), {}, {}};
   sys.build();
   return sys;
 }

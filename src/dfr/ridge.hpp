@@ -14,8 +14,13 @@
 // (tested in tests/test_ridge.cpp).
 //
 // The system is built once per set of rows, without beta: the dual kernel
-// R_aug R_aug^T (upper triangle computed, then mirrored), or the primal Gram
-// R_aug^T R_aug plus R_aug^T D. Each beta only adds to the diagonal of a copy
+// R_aug R_aug^T, or the primal Gram R_aug^T R_aug plus R_aug^T D. Neither
+// R_aug nor a row subset is ever copied: the system reads the feature
+// matrix's rows in place through a RowRefs (linalg/matrix.hpp), and the
+// bias column is an implicit trailing 1.0. The dual kernel and the dual
+// back-projection alpha^T R_aug run the exact register-tiled row_gram and
+// back_project entries of serve/simd_kernels.hpp, which give every backend
+// the plain loops' bits. Each beta only adds to the diagonal of a copy
 // before its Cholesky solve, so a sweep builds one system rather than one
 // per beta. select_ridge goes further in the dual: the fit rows' kernel is a
 // sub-block of the all-rows kernel, so the whole selection builds one. Every

@@ -153,7 +153,7 @@ TrainResult Trainer::fit(const Dataset& train) const {
         // Output layer update.
         double lr_output_eff = lr_output;
         if (config_.nlms_output) {
-          lr_output_eff /= 1.0 + dot(dprr_features, dprr_features);
+          lr_output_eff /= 1.0 + out_grads.features_sq;
         }
         if (sgd_fast_path) {
           output.apply_gradient(out_grads, dprr_features, lr_output_eff);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "serve/simd_kernels.hpp"
+
 namespace dfr {
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
@@ -131,21 +133,36 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+RowRefs::RowRefs(const Matrix& m, bool bias)
+    : rows(m.rows()), cols(m.cols()), bias(bias) {
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = m.data() + i * cols;
+}
+
+RowRefs RowRefs::subset(std::span<const std::size_t> index) const {
+  RowRefs out = *this;
+  out.rows.resize(index.size());
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    DFR_CHECK(index[i] < rows.size());
+    out.rows[i] = rows[index[i]];
+  }
+  return out;
+}
+
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   DFR_CHECK_MSG(a.rows() == b.rows(), "matmul_at_b shape mismatch");
-  Matrix c(a.cols(), b.cols());
-  const std::size_t n = a.rows(), p = a.cols(), m = b.cols();
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* ar = a.data() + r * p;
-    const double* br = b.data() + r * m;
-    for (std::size_t i = 0; i < p; ++i) {
-      const double ari = ar[i];
-      if (ari == 0.0) continue;
-      double* ci = c.data() + i * m;
-      for (std::size_t j = 0; j < m; ++j) ci[j] += ari * br[j];
-    }
-  }
-  return c;
+  Matrix w;
+  Vector unused;
+  back_project(b, RowRefs(a), w, unused);
+  return w.transposed();
+}
+
+void back_project(const Matrix& a, const RowRefs& x, Matrix& w, Vector& b) {
+  DFR_CHECK_MSG(a.rows() == x.size(), "back_project shape mismatch");
+  w.resize(a.cols(), x.cols);
+  b.assign(x.bias ? a.cols() : 0, 0.0);
+  simd::active_kernels().back_project(x.rows.data(), x.size(), x.cols,
+                                      a.data(), a.cols(), w.data(),
+                                      x.bias ? b.data() : nullptr);
 }
 
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
@@ -184,54 +201,36 @@ Vector matvec_t(const Matrix& a, std::span<const double> x) {
 }
 
 Matrix gram_at_a(const Matrix& a, double lambda) {
-  const std::size_t n = a.rows(), p = a.cols();
-  Matrix g(p, p);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* ar = a.data() + r * p;
+  return gram_at_a(RowRefs(a), lambda);
+}
+
+Matrix gram_at_a(const RowRefs& x, double lambda) {
+  const std::size_t p = x.cols, width = x.width();
+  Matrix g(width, width);
+  for (const double* xr : x.rows) {
     for (std::size_t i = 0; i < p; ++i) {
-      const double ari = ar[i];
-      if (ari == 0.0) continue;
-      double* gi = g.data() + i * p;
-      // Upper triangle only, mirrored afterwards.
-      for (std::size_t j = i; j < p; ++j) gi[j] += ari * ar[j];
+      const double xri = xr[i];
+      if (xri == 0.0) continue;
+      double* gi = g.data() + i * width;
+      // Upper triangle only, mirrored afterwards; the bias feature is last.
+      for (std::size_t j = i; j < p; ++j) gi[j] += xri * xr[j];
+      if (x.bias) gi[p] += xri;
     }
+    if (x.bias) g(p, p) += 1.0;
   }
-  for (std::size_t i = 0; i < p; ++i) {
+  for (std::size_t i = 0; i < width; ++i) {
     for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
     g(i, i) += lambda;
   }
   return g;
 }
 
-Matrix gram_a_at(const Matrix& a) {
-  const std::size_t n = a.rows(), p = a.cols();
-  Matrix k(n, n);
-  // Upper triangle, four entries (i, j..j+3) per pass over row i, then
-  // mirrored: entry (j, i) is the same dot with each product's factors
-  // swapped, which rounds identically.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ai = a.data() + i * p;
-    std::size_t j = i;
-    for (; j + 4 <= n; j += 4) {
-      const double* a0 = a.data() + j * p;
-      const double* a1 = a0 + p;
-      const double* a2 = a1 + p;
-      const double* a3 = a2 + p;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t c = 0; c < p; ++c) {
-        const double x = ai[c];
-        s0 += x * a0[c];
-        s1 += x * a1[c];
-        s2 += x * a2[c];
-        s3 += x * a3[c];
-      }
-      k(i, j) = k(j, i) = s0;
-      k(i, j + 1) = k(j + 1, i) = s1;
-      k(i, j + 2) = k(j + 2, i) = s2;
-      k(i, j + 3) = k(j + 3, i) = s3;
-    }
-    for (; j < n; ++j) k(i, j) = k(j, i) = dot(a.row(i), a.row(j));
-  }
+Matrix gram_a_at(const Matrix& a) { return gram_a_at(RowRefs(a)); }
+
+Matrix gram_a_at(const RowRefs& x) {
+  Matrix k(x.size(), x.size());
+  simd::active_kernels().row_gram(x.rows.data(), x.size(), x.cols, x.bias,
+                                  k.data());
   return k;
 }
 

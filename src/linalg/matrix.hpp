@@ -4,9 +4,12 @@
 // Scope: the library needs exactly the operations that reservoir computing
 // with a ridge-regression readout requires — GEMM/GEMV, transpose products,
 // symmetric rank-k updates, and an SPD solver. A hand-rolled implementation
-// keeps the build dependency-free and deterministic; kernels are written as
-// straightforward cache-friendly triple loops (ikj order) which is plenty for
-// the ~1000-dimensional systems involved (Nx=30 → N_r=931).
+// keeps the build dependency-free and deterministic. Most kernels are plain
+// loops. The ridge fit's two large products, the row kernel (gram_a_at) and
+// the back-projection (back_project, and matmul_at_b through it), dispatch to
+// the register-tiled SIMD entries of serve/simd_kernels.hpp. Those are exact:
+// every entry has the bits of the plain loop, on every backend. They read
+// their operand's rows in place through RowRefs.
 
 #include <algorithm>
 #include <cstddef>
@@ -157,11 +160,42 @@ Matrix operator-(Matrix a, const Matrix& b);
 Matrix operator*(Matrix a, double s);
 Matrix operator*(double s, Matrix a);
 
+/// Rows read in place, without a copy: row i is rows[i][0..cols), followed
+/// by an implicit 1.0 when `bias` (a ridge readout's bias feature). The
+/// ridge products below take their operand this way, so a fit over a subset
+/// of a feature matrix's rows, bias column included, copies no feature.
+struct RowRefs {
+  std::vector<const double*> rows;
+  std::size_t cols = 0;
+  bool bias = false;
+
+  /// Every row of `m`.
+  explicit RowRefs(const Matrix& m, bool bias = false);
+
+  /// Rows `index` of this view, in that order.
+  [[nodiscard]] RowRefs subset(std::span<const std::size_t> index) const;
+
+  [[nodiscard]] std::size_t size() const noexcept { return rows.size(); }
+  /// Entries per row, the bias feature included.
+  [[nodiscard]] std::size_t width() const noexcept {
+    return cols + (bias ? 1 : 0);
+  }
+};
+
 /// C = A * B.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B  (computed without forming A^T).
+/// C = A^T * B  (computed without forming A^T): entry (i, j) sums
+/// a(r, i) * b(r, j) from 0.0 in ascending r, skipping the terms where
+/// a(r, i) == 0. It is back_project(b, RowRefs(a)) transposed.
 Matrix matmul_at_b(const Matrix& a, const Matrix& b);
+
+/// The ridge back-projection W = A^T X for A: x.size() x m, in W's layout:
+/// `w` becomes m x x.cols with entry (c, f) the sum of a(r, c) * x_r[f] from
+/// 0.0 in ascending r, a term skipped where x_r[f] == 0. With x.bias, `b`
+/// becomes the bias column (length m), the column sums of A. Runs the active
+/// SIMD backend's back_project entry (serve/simd_kernels.hpp).
+void back_project(const Matrix& a, const RowRefs& x, Matrix& w, Vector& b);
 
 /// C = A * B^T  (computed without forming B^T).
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
@@ -177,12 +211,18 @@ Vector matvec_t(const Matrix& a, std::span<const double> x);
 
 /// G = A^T A + lambda I   (symmetric; only needs one pass over A's rows).
 Matrix gram_at_a(const Matrix& a, double lambda = 0.0);
+/// gram_at_a over rows read in place: x.width() x x.width().
+Matrix gram_at_a(const RowRefs& x, double lambda = 0.0);
 
 /// K = A A^T, the row kernel (symmetric). Entry (i, j) is bit-identical to
-/// dot(a.row(i), a.row(j)): four entries of a row share one pass over the
-/// columns, each summed from 0.0 in column order with a separate multiply
-/// and add.
+/// dot(a.row(i), a.row(j)): each entry is summed from 0.0 in column order
+/// with a separate multiply and add. Runs the active SIMD backend's row_gram
+/// entry (serve/simd_kernels.hpp), which holds a tile of entries in
+/// registers; every backend gives the same bits.
 Matrix gram_a_at(const Matrix& a);
+/// gram_a_at over rows read in place: entry (i, j) is dot() of the two rows,
+/// each with its bias feature 1.0 when x.bias.
+Matrix gram_a_at(const RowRefs& x);
 
 /// Rank-1 update: A += alpha * x y^T.
 void add_outer(Matrix& a, double alpha, std::span<const double> x,

@@ -1,5 +1,6 @@
 #include "serve/simd_kernels.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -95,6 +96,66 @@ void batched_mask_scalar(const double* weights, std::size_t nx,
   }
 }
 
+// The row kernel's upper triangle, four entries (i, j..j+3) per pass over row
+// i, then mirrored: entry (j, i) is the same dot with each product's factors
+// swapped, which rounds identically. The bias feature adds its 1.0 * 1.0
+// last, as dot() over the augmented rows would.
+void row_gram_scalar(const double* const* rows, std::size_t n, std::size_t p,
+                     bool bias, double* k) {
+  const auto put = [&](std::size_t i, std::size_t j, double s) {
+    k[i * n + j] = k[j * n + i] = bias ? s + 1.0 : s;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* xi = rows[i];
+    std::size_t j = i;
+    for (; j + 4 <= n; j += 4) {
+      const double* x0 = rows[j];
+      const double* x1 = rows[j + 1];
+      const double* x2 = rows[j + 2];
+      const double* x3 = rows[j + 3];
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (std::size_t c = 0; c < p; ++c) {
+        const double x = xi[c];
+        s0 += x * x0[c];
+        s1 += x * x1[c];
+        s2 += x * x2[c];
+        s3 += x * x3[c];
+      }
+      put(i, j, s0);
+      put(i, j + 1, s1);
+      put(i, j + 2, s2);
+      put(i, j + 3, s3);
+    }
+    for (; j < n; ++j) {
+      const double* xj = rows[j];
+      double s = 0.0;
+      for (std::size_t c = 0; c < p; ++c) s += xi[c] * xj[c];
+      put(i, j, s);
+    }
+  }
+}
+
+// Row by row, every non-zero feature scattered into its column of W; a zero
+// feature's term is skipped.
+void back_project_scalar(const double* const* rows, std::size_t n,
+                         std::size_t p, const double* a, std::size_t ny,
+                         double* w, double* b) {
+  std::fill(w, w + ny * p, 0.0);
+  if (b != nullptr) std::fill(b, b + ny, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* xr = rows[r];
+    const double* ar = a + r * ny;
+    for (std::size_t f = 0; f < p; ++f) {
+      const double xrf = xr[f];
+      if (xrf == 0.0) continue;
+      for (std::size_t c = 0; c < ny; ++c) w[c * p + f] += xrf * ar[c];
+    }
+    if (b != nullptr) {
+      for (std::size_t c = 0; c < ny; ++c) b[c] += ar[c];
+    }
+  }
+}
+
 // The scalar float accumulates already round twice per accumulate (plain
 // mul + add), so they double as the exact-family kernels.
 constexpr Kernels kScalarKernels{Backend::kScalar,
@@ -105,7 +166,9 @@ constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &dprr_block_scalar,
                                  &batched_bchain_scalar,
                                  &batched_quant_bchain_scalar,
-                                 &batched_mask_scalar};
+                                 &batched_mask_scalar,
+                                 &row_gram_scalar,
+                                 &back_project_scalar};
 
 bool cpu_supports_avx2_fma() noexcept {
 #if (defined(__x86_64__) || defined(__i386__)) && \

@@ -1,5 +1,7 @@
 #pragma once
-// SIMD kernels for the reservoir-step datapath, with runtime CPU dispatch.
+// SIMD kernels with runtime CPU dispatch: the reservoir-step datapath of
+// serving and training, and the two exact products of the ridge readout fit
+// (RowGramFn, BackProjectFn; see "Ridge readout products" below).
 //
 // The per-step serving cost splits into three stages. Two of them are
 // data-parallel across the Nx virtual nodes and vectorize:
@@ -184,12 +186,43 @@ using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
                                std::size_t channels, const double* u,
                                double* j, std::size_t lanes);
 
+// ---- ridge readout products -------------------------------------------------
+//
+// The dual ridge fit (dfr/ridge.hpp) spends its time in two products over the
+// rows of a feature matrix: the kernel X X^T and the back-projection
+// W = alpha^T X. Both read the rows in place through an array of row
+// pointers (row i is rows[i][0..p)), so the fit gathers no row subset and
+// appends no bias column. Both are EXACT on every backend: every output is a
+// sum from 0.0 in the scalar loop's order with a separate multiply and add
+// (never FMA), so each output is bit-identical to the scalar entry; the
+// vectors only run independent outputs side by side. test_linalg.cpp
+// asserts it with memcmp on every available backend.
+
+/// Row kernel K = X X^T over n rows of p doubles, all n x n entries
+/// row-major into k: k[i*n + j] = sum_c rows[i][c] * rows[j][c], summed from
+/// 0.0 in ascending c, then + 1.0 when `bias` (an implicit trailing 1.0 on
+/// every row, the readout's bias feature). That is exactly dot() of the two
+/// (augmented) rows, so k[i*n + j] and k[j*n + i] have the same bits.
+using RowGramFn = void (*)(const double* const* rows, std::size_t n,
+                           std::size_t p, bool bias, double* k);
+
+/// Back-projection W = A^T X over n rows, in W's layout: for c < ny and
+/// f < p, w[c*p + f] = sum_r a[r*ny + c] * rows[r][f], summed from 0.0 in
+/// ascending r, with a term skipped whenever rows[r][f] == ±0.0 (so a zero
+/// feature never meets an infinite or NaN coefficient as 0 * inf = NaN).
+/// When `b` is non-null it receives the bias column, b[c] = sum_r a[r*ny + c]
+/// from 0.0 in ascending r. This is matmul_at_b's loop, transposed.
+using BackProjectFn = void (*)(const double* const* rows, std::size_t n,
+                               std::size_t p, const double* a, std::size_t ny,
+                               double* w, double* b);
+
 /// One backend's kernel set. Pointers are non-null and valid for the process
 /// lifetime. `dprr_block` is the float-family accumulate (explicit FMA,
 /// single rounding, ULP-bounded); `dprr_block_exact` rounds twice per
 /// accumulate like the scalar reference and is bit-identical to it on every
 /// backend (the quantized family and all training use it). The batched_*
-/// members run one step per call over the SoA layout documented above.
+/// members run one step per call over the SoA layout documented above;
+/// `row_gram` and `back_project` are the ridge readout's exact products.
 struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;
@@ -200,6 +233,8 @@ struct Kernels {
   BatchedBChainFn batched_bchain;
   BatchedQuantBChainFn batched_quant_bchain;
   BatchedMaskFn batched_mask;
+  RowGramFn row_gram;
+  BackProjectFn back_project;
 };
 
 /// True when `backend` can run on this CPU *and* its kernels were compiled

@@ -56,6 +56,12 @@ struct Avx512Ops {
     return _mm512_mask_mov_pd(_mm512_setzero_pd(),
                               _mm512_cmp_pd_mask(probe, probe, _CMP_ORD_Q), v);
   }
+  // One masked add; unordered not-equal counts a NaN probe as non-zero.
+  static vec add_nonzero(vec acc, vec probe, vec v) noexcept {
+    return _mm512_mask_add_pd(
+        acc, _mm512_cmp_pd_mask(probe, _mm512_setzero_pd(), _CMP_NEQ_UQ), acc,
+        v);
+  }
 };
 
 constexpr Kernels kAvx512Kernels = kernel_table<Avx512Ops>(Backend::kAvx512);

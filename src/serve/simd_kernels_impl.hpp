@@ -16,13 +16,17 @@
 //   round(v)                to integral under the current rounding mode
 //                           (== std::nearbyint lane-wise)
 //   zero_nan(probe, v)      v with the lanes where `probe` is NaN set to +0.0
+//   add_nonzero(acc, probe, v)
+//                           acc + v in the lanes where `probe` != ±0.0 (NaN
+//                           included), acc unchanged where it is ±0.0
 // and optionally `Half`, a trait of the same shape at half the width.
 //
 // Remainder policy, in one place (for_each_block) and the same on every ISA
 // and loop shape (Nx for the single-series kernels, lanes for the batched
-// ones): whole vectors first, then one Ops::Half vector when the trait has
-// one and at least that many elements remain, then a scalar remainder that
-// runs the same block body through ScalarOps, one double at a time. A
+// ones, rows or features for the ridge products): whole vectors first, then
+// one Ops::Half vector when the trait has one and at least that many
+// elements remain, then a scalar remainder that runs the same block body
+// through ScalarOps, one double at a time. A
 // remainder element therefore performs its lane's operations: std::fma
 // where the body fuses, one rounding per add and multiply elsewhere (these
 // TUs build with -ffp-contract=off, so nothing else fuses). No masked loads
@@ -66,6 +70,9 @@ struct ScalarOps {
   // every ISA object.)
   static vec zero_nan(vec probe, vec v) noexcept {
     return probe != probe ? 0.0 : v;
+  }
+  static vec add_nonzero(vec acc, vec probe, vec v) noexcept {
+    return probe == 0.0 ? acc : acc + v;
   }
 };
 
@@ -317,6 +324,160 @@ void batched_mask(const double* weights, std::size_t nx, std::size_t channels,
   }
 }
 
+// ---- ridge readout products (RowGramFn, BackProjectFn) ----------------------
+// Exact rounding throughout (a separate multiply and add, never FMA), and
+// every output summed from 0.0 in the scalar entry's order: the vectors run
+// independent outputs side by side, so each output keeps its bits.
+
+// The row kernel's tile: kGramTileRows rows i against two vectors of rows j,
+// eight independent sums held in registers across a panel of columns. The
+// band of rows j is first transposed into `panel` (kGramPanelCols x band
+// doubles on the stack), so that one vector load reads column c of every row
+// j in the band. A tile's partial sums park in k between panels, which
+// resumes each sum exactly where it stopped.
+inline constexpr std::size_t kGramTileRows = 4;
+inline constexpr std::size_t kGramPanelCols = 128;
+
+// Tile rows x_i[0..kRows) (each already offset to the panel's first column)
+// against kVecs vectors of the band from `panel`, over `cols` columns; k_i is
+// entry (i0, j) of k. `first` starts the sums at 0.0, else at k's contents.
+template <class O, std::size_t kRows, std::size_t kVecs>
+inline void gram_tile(const double* const* x_i, const double* panel,
+                      std::size_t band, std::size_t cols, double* k_i,
+                      std::size_t n, bool first) {
+  typename O::vec acc[kRows][kVecs];
+  for (std::size_t a = 0; a < kRows; ++a) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      acc[a][v] = first ? O::set1(0.0) : O::load(k_i + a * n + v * O::kWidth);
+    }
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    typename O::vec xj[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      xj[v] = O::load(panel + c * band + v * O::kWidth);
+    }
+    for (std::size_t a = 0; a < kRows; ++a) {
+      const typename O::vec xi = O::set1(x_i[a][c]);
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        acc[a][v] = O::add(acc[a][v], O::mul(xi, xj[v]));
+      }
+    }
+  }
+  for (std::size_t a = 0; a < kRows; ++a) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      O::store(k_i + a * n + v * O::kWidth, acc[a][v]);
+    }
+  }
+}
+
+// Band by band of rows j, panel by panel of columns, every tile of rows i up
+// to the band's last j: the upper triangle and the band's diagonal block.
+// Then both triangles from the upper one, plus the bias feature's 1.0 * 1.0
+// as the last term of every sum.
+template <class Ops>
+void row_gram(const double* const* rows, std::size_t n, std::size_t p,
+              bool bias, double* k) {
+  constexpr std::size_t kBand = 2 * Ops::kWidth;
+  double panel[kGramPanelCols * kBand];
+  for (std::size_t j0 = 0; j0 < n; j0 += kBand) {
+    const std::size_t width = n - j0 < kBand ? n - j0 : kBand;
+    const std::size_t tile_rows = j0 + width;
+    std::size_t c0 = 0;
+    do {
+      const std::size_t cols =
+          p - c0 < kGramPanelCols ? p - c0 : kGramPanelCols;
+      for (std::size_t jj = 0; jj < width; ++jj) {
+        const double* xj = rows[j0 + jj] + c0;
+        for (std::size_t c = 0; c < cols; ++c) panel[c * kBand + jj] = xj[c];
+      }
+      for (std::size_t i = 0; i < tile_rows; i += kGramTileRows) {
+        with_tile_rows<kGramTileRows>(tile_rows - i, [&](auto tile) {
+          constexpr std::size_t kRows = decltype(tile)::value;
+          const double* x_i[kRows];
+          for (std::size_t a = 0; a < kRows; ++a) x_i[a] = rows[i + a] + c0;
+          double* k_i = k + i * n + j0;
+          if (width == kBand) {
+            gram_tile<Ops, kRows, 2>(x_i, panel, kBand, cols, k_i, n, c0 == 0);
+            return;
+          }
+          for_each_block<Ops>(width, [&]<class O>(O, std::size_t jj) {
+            gram_tile<O, kRows, 1>(x_i, panel + jj, kBand, cols, k_i + jj, n,
+                                   c0 == 0);
+          });
+        });
+      }
+      c0 += cols;
+    } while (c0 < p);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      const double s = bias ? k[i * n + j] + 1.0 : k[i * n + j];
+      k[i * n + j] = k[j * n + i] = s;
+    }
+  }
+}
+
+// The back-projection's tile: kProjectClasses rows of W by kProjectVecs
+// vectors of features, eight independent sums held in registers over every
+// row r. A zero feature's term is masked out of its sum (add_nonzero), as
+// the scalar entry skips it.
+inline constexpr std::size_t kProjectClasses = 2;
+inline constexpr std::size_t kProjectVecs = 4;
+
+// Rows c0..c0+kCls of W at features [f, f + kVecs * O::kWidth); `a` points
+// at column c0 of the coefficients and `w` at row c0 of W.
+template <class O, std::size_t kCls, std::size_t kVecs>
+inline void project_tile(const double* const* rows, std::size_t n,
+                         std::size_t p, std::size_t f, const double* a,
+                         std::size_t ny, double* w) {
+  typename O::vec acc[kCls][kVecs];
+  for (std::size_t c = 0; c < kCls; ++c) {
+    for (std::size_t v = 0; v < kVecs; ++v) acc[c][v] = O::set1(0.0);
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    typename O::vec x[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      x[v] = O::load(rows[r] + f + v * O::kWidth);
+    }
+    for (std::size_t c = 0; c < kCls; ++c) {
+      const typename O::vec ar = O::set1(a[r * ny + c]);
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        acc[c][v] = O::add_nonzero(acc[c][v], x[v], O::mul(x[v], ar));
+      }
+    }
+  }
+  for (std::size_t c = 0; c < kCls; ++c) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      O::store(w + c * p + f + v * O::kWidth, acc[c][v]);
+    }
+  }
+}
+
+template <class Ops>
+void back_project(const double* const* rows, std::size_t n, std::size_t p,
+                  const double* a, std::size_t ny, double* w, double* b) {
+  constexpr std::size_t kStep = kProjectVecs * Ops::kWidth;
+  for (std::size_t c = 0; c < ny; c += kProjectClasses) {
+    with_tile_rows<kProjectClasses>(ny - c, [&](auto tile) {
+      constexpr std::size_t kCls = decltype(tile)::value;
+      std::size_t f = 0;
+      for (; f + kStep <= p; f += kStep) {
+        project_tile<Ops, kCls, kProjectVecs>(rows, n, p, f, a + c, ny,
+                                              w + c * p);
+      }
+      for_each_block<Ops>(p - f, [&]<class O>(O, std::size_t g) {
+        project_tile<O, kCls, 1>(rows, n, p, f + g, a + c, ny, w + c * p);
+      });
+    });
+  }
+  if (b == nullptr) return;
+  for (std::size_t c = 0; c < ny; ++c) {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < n; ++r) sum += a[r * ny + c];
+    b[c] = sum;
+  }
+}
+
 template <class Ops>
 constexpr Kernels kernel_table(Backend backend) noexcept {
   return Kernels{backend,
@@ -327,7 +488,9 @@ constexpr Kernels kernel_table(Backend backend) noexcept {
                  &dprr_block<Ops, Accumulate::kExact>,
                  &batched_bchain<Ops>,
                  &batched_quant_bchain<Ops>,
-                 &batched_mask<Ops>};
+                 &batched_mask<Ops>,
+                 &row_gram<Ops>,
+                 &back_project<Ops>};
 }
 
 }  // namespace

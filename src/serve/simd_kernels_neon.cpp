@@ -41,6 +41,11 @@ struct NeonOps {
     return vreinterpretq_f64_u64(
         vandq_u64(vreinterpretq_u64_f64(v), vceqq_f64(probe, probe)));
   }
+  // vceqq against 0.0 is true for ±0.0 and false for NaN.
+  static vec add_nonzero(vec acc, vec probe, vec v) noexcept {
+    return vbslq_f64(vceqq_f64(probe, vdupq_n_f64(0.0)), acc,
+                     vaddq_f64(acc, v));
+  }
 };
 
 constexpr Kernels kNeonKernels = kernel_table<NeonOps>(Backend::kNeon);

@@ -34,6 +34,10 @@ struct Avx128Ops {
   static vec zero_nan(vec probe, vec v) noexcept {
     return _mm_and_pd(v, _mm_cmp_pd(probe, probe, _CMP_ORD_Q));
   }
+  static vec add_nonzero(vec acc, vec probe, vec v) noexcept {
+    return _mm_blendv_pd(acc, _mm_add_pd(acc, v),
+                         _mm_cmp_pd(probe, _mm_setzero_pd(), _CMP_NEQ_UQ));
+  }
 };
 
 struct Avx2Ops {
@@ -62,6 +66,12 @@ struct Avx2Ops {
   }
   static vec zero_nan(vec probe, vec v) noexcept {
     return _mm256_and_pd(v, _mm256_cmp_pd(probe, probe, _CMP_ORD_Q));
+  }
+  // Unordered not-equal: a NaN probe counts as non-zero.
+  static vec add_nonzero(vec acc, vec probe, vec v) noexcept {
+    return _mm256_blendv_pd(
+        acc, _mm256_add_pd(acc, v),
+        _mm256_cmp_pd(probe, _mm256_setzero_pd(), _CMP_NEQ_UQ));
   }
 };
 

@@ -3,14 +3,40 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/stats.hpp"
+#include "serve/simd_kernels.hpp"
 #include "util/rng.hpp"
 
 namespace dfr {
 namespace {
+
+/// Runs check() once per SIMD backend this host and build can run, each
+/// forced active in turn; the active backend is restored afterwards.
+template <class Check>
+void on_every_backend(const Check& check) {
+  struct Restore {
+    simd::Backend saved = simd::active_backend();
+    ~Restore() { simd::force_backend(saved); }
+  } restore;
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
+                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
+    if (!simd::backend_available(b)) continue;
+    simd::force_backend(b);
+    SCOPED_TRACE(simd::backend_name(b));
+    check();
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 TEST(Matrix, ConstructsZeroInitialized) {
   Matrix m(3, 4);
@@ -247,27 +273,126 @@ TEST(Matrix, MatvecIntoMatchesMatvec) {
 }
 
 // The ridge dual kernel: every entry, in both triangles, has the bits of the
-// dot() of its two rows, for row counts that leave every remainder of the
-// four-entry pass.
+// dot() of its two rows on every backend, for row counts that leave every
+// band and tile remainder of the register-tiled kernel and column counts
+// that leave every panel remainder. The same holds read in place by index
+// with the bias feature, whose 1.0 * 1.0 is dot()'s last term.
 TEST(Matrix, GramAAtEntriesAreBitIdenticalToDot) {
-  Rng rng(17);
-  for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 80, 100}) {
-    Matrix a(n, 931);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.normal();
-    }
-    const Matrix k = gram_a_at(a);
-    ASSERT_EQ(k.rows(), n);
-    ASSERT_EQ(k.cols(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double got = k(i, j);
-        const double expected = dot(a.row(i), a.row(j));
-        ASSERT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
-            << "n=" << n << " entry (" << i << ", " << j << ")";
+  std::vector<std::size_t> row_counts(17);
+  std::iota(row_counts.begin(), row_counts.end(), std::size_t{1});
+  std::vector<std::size_t> col_counts = row_counts;
+  row_counts.insert(row_counts.end(), {33, 80, 100});
+  col_counts.insert(col_counts.end(), {931, 932});
+  on_every_backend([&] {
+    Rng rng(17);
+    for (std::size_t n : row_counts) {
+      for (std::size_t p : col_counts) {
+        Matrix a(n, p);
+        for (std::size_t i = 0; i < a.rows(); ++i) {
+          for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.normal();
+        }
+        const Matrix k = gram_a_at(a);
+        ASSERT_EQ(k.rows(), n);
+        ASSERT_EQ(k.cols(), n);
+        std::vector<std::size_t> reversed(n);
+        std::iota(reversed.rbegin(), reversed.rend(), std::size_t{0});
+        const Matrix kb =
+            gram_a_at(RowRefs(a, /*bias=*/true).subset(reversed));
+        SCOPED_TRACE("p=" + std::to_string(p));
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            const double got = k(i, j);
+            const double expected = dot(a.row(i), a.row(j));
+            ASSERT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+                << "n=" << n << " entry (" << i << ", " << j << ")";
+            const double with_bias =
+                dot(a.row(reversed[i]), a.row(reversed[j])) + 1.0;
+            ASSERT_TRUE(same_bits(kb(i, j), with_bias))
+                << "bias n=" << n << " entry (" << i << ", " << j << ")";
+          }
+        }
       }
     }
-  }
+  });
+}
+
+// The ridge back-projection W = A^T X against the plain loop, memcmp per
+// entry on every backend, for shapes that leave every class, vector and
+// scalar remainder. Rows are read in place in reverse order, with the bias
+// column. Exact zeros of X (both signs) meet +inf, -inf and NaN
+// coefficients, one per class: W stays finite where each is skipped, and
+// 0 * inf would turn it NaN. matmul_at_b is the same product transposed.
+TEST(Matrix, BackProjectionIsBitIdenticalToPlainLoop) {
+  const double specials[] = {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  std::vector<std::size_t> feature_counts(17);
+  std::iota(feature_counts.begin(), feature_counts.end(), std::size_t{1});
+  feature_counts.insert(feature_counts.end(), {31, 33, 63, 65, 931, 932});
+  on_every_backend([&] {
+    Rng rng(23);
+    for (std::size_t n : {1, 3, 8, 100}) {
+      for (std::size_t p : feature_counts) {
+        for (std::size_t ny : {1, 2, 3, 4, 5}) {
+          Matrix x(n, p), a(n, ny);
+          for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t f = 0; f < p; ++f) {
+              const double u = rng.uniform();
+              x(r, f) = u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.normal();
+            }
+            for (std::size_t c = 0; c < ny; ++c) a(r, c) = rng.normal();
+          }
+          // Special s sits in class s of row s, whose features are zero
+          // except every third one from s: no feature meets two specials.
+          for (std::size_t s = 0; s < 3 && s < n && s < ny; ++s) {
+            a(s, s) = specials[s];
+            for (std::size_t f = 0; f < p; ++f) {
+              if (f % 3 != s) x(s, f) = f % 2 ? -0.0 : 0.0;
+            }
+          }
+          std::vector<std::size_t> reversed(n);
+          std::iota(reversed.rbegin(), reversed.rend(), std::size_t{0});
+          Matrix a_rev(n, ny);
+          for (std::size_t r = 0; r < n; ++r) {
+            a_rev.set_row(r, a.row(reversed[r]));
+          }
+          Matrix w;
+          Vector b;
+          back_project(a_rev, RowRefs(x, /*bias=*/true).subset(reversed), w,
+                       b);
+          const Matrix c_t = matmul_at_b(x, a);
+          ASSERT_EQ(w.rows(), ny);
+          ASSERT_EQ(w.cols(), p);
+          ASSERT_EQ(b.size(), ny);
+          // The plain loop over rows in `order`, skipping zero features.
+          const auto plain = [&](const std::vector<std::size_t>& order,
+                                 std::size_t c, std::size_t f) {
+            double sum = 0.0;
+            for (std::size_t r : order) {
+              if (x(r, f) != 0.0) sum += x(r, f) * a(r, c);
+            }
+            return sum;
+          };
+          std::vector<std::size_t> forward(n);
+          std::iota(forward.begin(), forward.end(), std::size_t{0});
+          for (std::size_t c = 0; c < ny; ++c) {
+            double bias = 0.0;
+            for (std::size_t r : reversed) bias += a(r, c);
+            ASSERT_TRUE(same_bits(b[c], bias))
+                << "n=" << n << " p=" << p << " ny=" << ny << " bias " << c;
+            for (std::size_t f = 0; f < p; ++f) {
+              ASSERT_TRUE(same_bits(w(c, f), plain(reversed, c, f)))
+                  << "n=" << n << " p=" << p << " ny=" << ny << " entry ("
+                  << c << ", " << f << ")";
+              ASSERT_TRUE(same_bits(c_t(f, c), plain(forward, c, f)))
+                  << "matmul_at_b n=" << n << " p=" << p << " ny=" << ny
+                  << " entry (" << f << ", " << c << ")";
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 TEST(Stats, RunningStatsMatchesBatch) {

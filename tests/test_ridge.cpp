@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dfr/metrics.hpp"
 #include "dfr/output.hpp"
@@ -83,6 +84,35 @@ TEST(OutputLayer, SgdStepReducesLossOnRepeatedSample) {
     prev = now;
   }
   EXPECT_EQ(layer.predict(r), 0);
+}
+
+// The logits pass sums every class row in one sweep over the features, four
+// rows at a time; each logit must keep dot()'s bits, then + b, for class
+// counts that leave every remainder of the row block. backward() runs the
+// same pass, and its features_sq is dot(features, features).
+TEST(OutputLayer, LogitsAreBitIdenticalToPerRowDot) {
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  Rng rng(29);
+  for (int ny = 2; ny <= 9; ++ny) {
+    OutputLayer layer(ny, 931);
+    for (std::size_t c = 0; c < layer.weights().rows(); ++c) {
+      for (double& w : layer.mutable_weights().row(c)) w = rng.normal();
+      layer.mutable_bias()[c] = rng.normal();
+    }
+    Vector r(931);
+    for (double& v : r) v = rng.normal();
+    Vector z(static_cast<std::size_t>(ny));
+    layer.logits_into(r, z);
+    for (std::size_t c = 0; c < z.size(); ++c) {
+      const double want = dot(layer.weights().row(c), r) + layer.bias()[c];
+      EXPECT_TRUE(same_bits(z[c], want)) << "ny=" << ny << " class " << c;
+    }
+    const OutputLayer::Backward grad = layer.backward(r, 0);
+    EXPECT_TRUE(same_bits(grad.features_sq, dot(r, r))) << "ny=" << ny;
+    EXPECT_EQ(grad.probs, softmax(z)) << "ny=" << ny;
+  }
 }
 
 TEST(Ridge, PrimalAndDualAgree) {
