@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -81,8 +82,10 @@ void BM_ForwardTruncated(benchmark::State& state) {
 BENCHMARK(BM_ForwardTruncated)->RangeMultiplier(4)->Range(64, 1024)->Complexity();
 
 // The lockstep training forward per series: `lanes` ECG-shaped series
-// (T = 151, 2 channels) per ForwardLanes::run at window 1, as an SGD epoch
-// runs them. items_per_second counts series-steps, so the lanes:1 row (what
+// (T = 151, 2 channels) per ForwardLanes::run at window 1 in a forward of
+// ForwardLanes::kLanes lanes, as an SGD epoch or a feature pass runs them:
+// lanes:8 is a whole group, and lanes 1-4 are the last group of a pass.
+// items_per_second counts series-steps, so the lanes:1 row (what
 // run_forward_truncated runs) and the group rows compare directly.
 void BM_ForwardLanes(benchmark::State& state) {
   constexpr std::size_t kSteps = 151;
@@ -97,7 +100,7 @@ void BM_ForwardLanes(benchmark::State& state) {
     series.push_back(random_series(kSteps, 2, 11 + l));
   }
   for (const Matrix& s : series) group.push_back(&s);
-  ForwardLanes forward(reservoir, mask, kSteps, 1, lanes);
+  ForwardLanes forward(reservoir, mask, kSteps, 1);
   const DfrParams params{0.2, 0.3};
   for (auto _ : state) {
     forward.run(params, group);
@@ -107,8 +110,9 @@ void BM_ForwardLanes(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes * kSteps));
 }
 BENCHMARK(BM_ForwardLanes)
-    ->ArgsProduct({{10, 30, 100},
-                   {1, static_cast<std::int64_t>(ForwardLanes::kLanes), 16}})
+    ->ArgsProduct(
+        {{10, 30, 100},
+         {1, 2, 3, 4, static_cast<std::int64_t>(ForwardLanes::kLanes)}})
     ->ArgNames({"nx", "lanes"});
 
 // What serve-fleet's micro-batcher runs: one BatchedEngine::infer over
@@ -251,15 +255,18 @@ BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
 // entries the call one block of `steps` steps makes: single-series entries
 // at Nx in {10, 30, 100, 300}, the block entries at steps 1 and
 // DprrAccumulator::kBlockSteps, batched entries at Nx in {10, 30, 100} over
-// lanes in {1, 3, 8, 16}. items_per_second counts series-steps, so every row
-// compares directly. The ridge products run at ECG's dual shapes instead,
-// one call per iteration: BM_Kernel/<entry>/<backend>/n:<N>/p:932 over N in
+// lanes in {1, 3, 8, 16}, and the lane block entry at Nx in {10, 30, 100}
+// over lanes in {3, 8} at steps 1 and ForwardLanes::kBlockSteps, on
+// 64-byte-aligned operands as ForwardLanes keeps them. items_per_second
+// counts series-steps, so every row compares directly. The ridge products
+// run at ECG's dual shapes instead, one call per iteration:
+// BM_Kernel/<entry>/<backend>/n:<N>/p:932 over N in
 // {80, 100} rows (the fit rows and all rows of select_ridge) of 931 features
 // plus the bias feature, with Ny = 2 for back_project.
 
 /// Random operands for one call at (nx, lanes, steps); state buffers are SoA
-/// (nx * lanes), `states` holds steps + 1 rows of nx, and r is the DPRR
-/// accumulator (dprr_dim(nx)).
+/// (nx * lanes), `states` holds steps + 1 SoA blocks of nx * lanes, and r is
+/// the DPRR accumulator of every lane (dprr_dim(nx) * lanes).
 struct KernelBuffers {
   static constexpr std::size_t kChannels = 2;
   std::size_t nx, lanes, steps;
@@ -275,10 +282,11 @@ struct KernelBuffers {
         j(random_vector(nodes * lane_count, 1)),
         x_prev(random_vector(nodes * lane_count, 2)),
         out(nodes * lane_count, 0.0),
-        r(dprr_dim(nodes), 0.0),
+        r(dprr_dim(nodes) * lane_count + kLineDoubles, 0.0),
         weights(random_vector(nodes * kChannels, 4)),
         u(random_vector(kChannels * lane_count, 5)),
-        states(random_vector((step_count + 1) * nodes, 6)) {}
+        states(random_vector(
+            (step_count + 1) * nodes * lane_count + kLineDoubles, 6)) {}
 
   static Vector random_vector(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
@@ -286,13 +294,21 @@ struct KernelBuffers {
     for (double& x : v) x = rng.uniform(-1.0, 1.0);
     return v;
   }
+
+  /// `v` from its first 64-byte line, as ForwardLanes keeps its SoA ring and
+  /// r; the buffers above hold the spare doubles for it.
+  static double* line_aligned(Vector& v) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+    return v.data() + (-addr % 64) / sizeof(double);
+  }
+  static constexpr std::size_t kLineDoubles = 64 / sizeof(double);
 };
 
 /// One Kernels entry: runs its call and returns the buffer it wrote. The
 /// chain entries pass b = 0 so the in-place state stays the same from one
 /// iteration to the next; their cost does not depend on b.
 struct LedgerEntry {
-  enum class Shape { kSingle, kBlock, kBatched };
+  enum class Shape { kSingle, kBlock, kBatched, kLaneBlock };
   const char* name;
   Shape shape;
   double* (*run)(const simd::Kernels& k, KernelBuffers& b);
@@ -345,6 +361,13 @@ const LedgerEntry kLedger[] = {
        k.batched_mask(b.weights.data(), b.nx, KernelBuffers::kChannels,
                       b.u.data(), b.j.data(), b.lanes);
        return b.j.data();
+     }},
+    {"dprr_lanes_exact", Shape::kLaneBlock,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       double* r = KernelBuffers::line_aligned(b.r);
+       k.dprr_lanes_exact(r, KernelBuffers::line_aligned(b.states), b.steps,
+                          b.nx, b.lanes);
+       return r;
      }},
 };
 
@@ -402,10 +425,11 @@ void register_kernel_ledger() {
         std::string name = std::string("BM_Kernel/") + entry.name + "/" +
                            simd::backend_name(backend) +
                            "/nx:" + std::to_string(nx);
-        if (entry.shape == Shape::kBatched) {
+        if (entry.shape == Shape::kBatched ||
+            entry.shape == Shape::kLaneBlock) {
           name += "/lanes:" + std::to_string(lanes);
         }
-        if (entry.shape == Shape::kBlock) {
+        if (entry.shape == Shape::kBlock || entry.shape == Shape::kLaneBlock) {
           name += "/steps:" + std::to_string(steps);
         }
         const auto run = [&entry, backend, nx, lanes,
@@ -433,6 +457,14 @@ void register_kernel_ledger() {
           case Shape::kBatched:
             if (nx != 300) {
               for (std::size_t lanes : {1, 3, 8, 16}) add(nx, lanes, 1);
+            }
+            break;
+          case Shape::kLaneBlock:
+            if (nx != 300) {
+              for (std::size_t lanes : {3, 8}) {
+                add(nx, lanes, 1);
+                add(nx, lanes, ForwardLanes::kBlockSteps);
+              }
             }
             break;
         }

@@ -1,12 +1,27 @@
 #include "dfr/backprop.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
 namespace dfr {
+namespace {
+
+constexpr std::size_t kLineDoubles = 64 / sizeof(double);
+
+/// The first 64-byte line boundary in `v`, which holds kLineDoubles - 1
+/// spare doubles for it. At 8 lanes every lane vector of the ring and of r
+/// then fills one line; a vector split over two lines costs the lane kernel
+/// 12-16% (README, "The DPRR across lanes").
+double* line_aligned(Vector& v) noexcept {
+  const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+  return v.data() + (-addr % 64) / sizeof(double);
+}
+
+}  // namespace
 
 ReservoirGradients backprop_through_dprr(const ModularReservoir& reservoir,
                                          const DfrParams& params,
@@ -127,18 +142,25 @@ ForwardLanes::ForwardLanes(const ModularReservoir& reservoir, const Mask& mask,
     : mask_(&mask),
       f_(reservoir.nonlinearity()),
       backend_(simd::active_backend()),
+      dprr_lanes_(simd::kernels_for(backend_).dprr_lanes_exact),
       nx_(reservoir.nodes()),
       steps_(steps),
       kept_(std::min(window, steps)),
-      j_(reservoir.nodes(), 0.0),
-      step_(reservoir.nodes(), mask.channels(), max_lanes) {
+      max_lanes_(max_lanes),
+      j_(nx_, 0.0),
+      single_(nx_, DprrRounding::kExact, backend_),
+      step_(nx_, mask.channels(), max_lanes) {
   DFR_CHECK_MSG(mask.nodes() == nx_, "mask rows != reservoir node count");
   DFR_CHECK_MSG(steps >= 1, "series must have at least one step");
-  DFR_CHECK_MSG(max_lanes >= 1 && max_lanes <= simd::kBatchedMaxLanes,
-                "lockstep lane count must be in [1, kBatchedMaxLanes]");
-  dprr_.reserve(max_lanes);
-  for (std::size_t l = 0; l < max_lanes; ++l) {
-    dprr_.emplace_back(nx_, DprrRounding::kExact, backend_);
+  DFR_CHECK_MSG(max_lanes >= 1 && max_lanes <= kLanes,
+                "lockstep lane count must be in [1, kLanes]");
+  if (max_lanes > 1) {
+    group_.resize(max_lanes);
+    const std::size_t ring = (kBlockSteps + 1) * nx_ * max_lanes;
+    ring_size_ = (ring + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+    lane_buf_.assign(
+        ring_size_ + dprr_dim(nx_) * max_lanes + kLineDoubles - 1, 0.0);
+    lane_r_.assign(dprr_dim(nx_), 0.0);
   }
   if (kept_ > 0) {
     tail_states_.assign(max_lanes, Matrix(kept_ + 1, nx_));
@@ -149,7 +171,7 @@ ForwardLanes::ForwardLanes(const ModularReservoir& reservoir, const Mask& mask,
 void ForwardLanes::run(const DfrParams& params,
                        std::span<const Matrix* const> series) {
   const std::size_t n = series.size();
-  DFR_CHECK_MSG(n >= 1 && n <= max_lanes(),
+  DFR_CHECK_MSG(n >= 1 && n <= max_lanes_,
                 "lockstep group size must be in [1, max_lanes()]");
   for (const Matrix* s : series) {
     DFR_CHECK_MSG(s != nullptr && s->rows() == steps_ &&
@@ -157,7 +179,6 @@ void ForwardLanes::run(const DfrParams& params,
                   "lockstep series must be steps x mask channels");
   }
   lanes_ = n;
-  for (std::size_t l = 0; l < n; ++l) dprr_[l].reset();
   const SimdFloatDatapath datapath(*mask_, params, f_, backend_);
 
   if (n == 1) {
@@ -165,45 +186,63 @@ void ForwardLanes::run(const DfrParams& params,
     // accumulator's ring: the same operations as one SoA lane, but at one
     // lane the batched mask and B-chain run wholly in their scalar
     // remainder, where they cost more (README, "Tuning cost").
-    DprrAccumulator& dprr = dprr_[0];
+    single_.reset();
     for (std::size_t k = 1; k <= steps_; ++k) {
       datapath.mask_into(series[0]->row(k - 1), j_);
-      datapath.step(j_, dprr.previous(), dprr.next());  // x(k)
-      keep(0, k, dprr.next(), j_.data(), 1);
-      dprr.commit();
+      datapath.step(j_, single_.previous(), single_.next());  // x(k)
+      keep(0, k, single_.next().data(), j_.data(), 1);
+      single_.commit();
     }
     return;
   }
 
-  step_.start(n);
+  // The pad lanes repeat series[0], so the SoA step and the lane kernel run
+  // whole vectors.
+  width_ = std::min(max_lanes_, (n + kPadLanes - 1) / kPadLanes * kPadLanes);
+  for (std::size_t l = 0; l < width_; ++l) group_[l] = series[l < n ? l : 0];
+  const std::span<const Matrix* const> group(group_.data(), width_);
+  const std::size_t block = nx_ * width_;
+  double* const ring = line_aligned(lane_buf_);
+  double* const r = ring + ring_size_;
+  std::fill_n(r, dprr_dim(nx_) * width_, 0.0);
+  std::fill_n(ring, block, 0.0);  // x(0) = 0
+  std::size_t pending = 0;  // steps in ring blocks 1..pending, not yet in r
   for (std::size_t k = 1; k <= steps_; ++k) {
-    step_.advance(datapath, series, k - 1);  // x(k) and j(k)
-    const double* x = step_.state();
+    double* x = ring + (pending + 1) * block;
+    step_.advance(datapath, group, k - 1, x - block, x);  // x(k) and j(k)
     for (std::size_t l = 0; l < n; ++l) {
-      const std::span<double> x_k = dprr_[l].next();
-      for (std::size_t i = 0; i < nx_; ++i) x_k[i] = x[i * n + l];
-      keep(l, k, x_k, step_.masked() + l, n);
-      dprr_[l].commit();
+      keep(l, k, x + l, step_.masked() + l, width_);
+    }
+    if (++pending == kBlockSteps || k == steps_) {
+      dprr_lanes_(r, ring, pending, nx_, width_);
+      // The block's last state is the next block's x(k0-1).
+      std::copy_n(x, block, ring);
+      pending = 0;
     }
   }
 }
 
-void ForwardLanes::keep(std::size_t lane, std::size_t k,
-                        std::span<const double> x_k, const double* j,
-                        std::size_t stride) {
+void ForwardLanes::keep(std::size_t lane, std::size_t k, const double* x,
+                        const double* j, std::size_t stride) {
   // x(k) for k >= head fills tail row k - head; j(k) for k > head fills row
   // k - head - 1. With head = 0, row 0 is x(0) = 0 from construction.
   const std::size_t head = steps_ - kept_;
   if (kept_ == 0 || k < head) return;
-  tail_states_[lane].set_row(k - head, x_k);
+  double* x_row = tail_states_[lane].row(k - head).data();
+  for (std::size_t i = 0; i < nx_; ++i) x_row[i] = x[i * stride];
   if (k == head) return;
-  double* row = tail_j_[lane].row(k - head - 1).data();
-  for (std::size_t i = 0; i < nx_; ++i) row[i] = j[i * stride];
+  double* j_row = tail_j_[lane].row(k - head - 1).data();
+  for (std::size_t i = 0; i < nx_; ++i) j_row[i] = j[i * stride];
 }
 
 const Vector& ForwardLanes::dprr(std::size_t lane) {
   DFR_CHECK_MSG(lane < lanes_, "lane index beyond the last group size");
-  return dprr_[lane].features();
+  if (lanes_ == 1) return single_.features();
+  const double* r = line_aligned(lane_buf_) + ring_size_ + lane;
+  for (std::size_t f = 0; f < lane_r_.size(); ++f) {
+    lane_r_[f] = r[f * width_];
+  }
+  return lane_r_;
 }
 
 const Matrix& ForwardLanes::tail_states(std::size_t lane) const {

@@ -83,35 +83,46 @@ struct TruncatedForward {
 /// The training forward: runs up to max_lanes() series of one shape in
 /// lockstep, one structure-of-arrays time step at a time (serve/soa_step.hpp)
 /// through SimdFloatDatapath's SoA stages, the batched mask, preadd +
-/// nonlinearity and B-chain kernels of the active backend; a one-series run
-/// takes the same datapath's single-series step. Each lane's x(k) goes
-/// straight into that lane's exact
-/// DprrAccumulator and, when it falls in the last `window` steps, into the
-/// lane's tail. Per lane, the DPRR and the tail are bit-identical to
-/// stepping the series alone through Mask::apply_into and
+/// nonlinearity and B-chain kernels of the active backend. Each step writes
+/// its state block x(k) straight into the next block of an SoA ring of
+/// kBlockSteps + 1 blocks, and each full ring runs through the exact lane
+/// DPRR kernel (simd::DprrLanesFn) in one call, which accumulates every
+/// lane's r, laid out [feature][lane]. A lane's tail is read from its ring
+/// block with the lane stride, and its r once per series, by dprr(). A
+/// group runs on a whole number of kPadLanes lanes: its pad lanes repeat the
+/// first series, and their results are never read. A one-series run
+/// takes the same datapath's single-series step into an exact
+/// DprrAccumulator instead. Per lane, the DPRR and the tail are
+/// bit-identical to stepping the series alone through Mask::apply_into and
 /// ModularReservoir::step (the batched step contract of simd_kernels.hpp on
-/// x86-64; the DPRR runs the same exact block kernel either way).
+/// x86-64; each lane's r takes the per-lane exact kernel's operations).
 ///
 /// Every training pass runs many series at one (A, B): a feature pass over a
 /// dataset, and an SGD epoch whose reservoir update waits for the epoch's
 /// end. The B-chain, one serial chain per series, then runs kLanes chains
-/// side by side in one vector.
+/// side by side in one vector, and so does the DPRR accumulate.
 ///
 /// Memory: a lane keeps its tail, (w+1) x Nx states and w x Nx masked
 /// inputs, so a group holds kLanes (w+1) Nx states at once: 8 x 2 x 30 = 480
 /// values at w = 1 and Nx = 30, still independent of T.
-/// stored_state_values() counts one series, as the per-lane accumulator
-/// rings are implementation buffers on top. All storage is allocated at
+/// stored_state_values() counts one series; the SoA ring,
+/// (kBlockSteps + 1) x Nx x max_lanes() values, and the lanes' r are
+/// implementation buffers on top, fixed in T. A one-lane forward holds
+/// neither, only the single-series accumulator. All storage is allocated at
 /// construction; run() allocates nothing. Not thread-safe: one per worker.
 class ForwardLanes {
  public:
-  /// Series per group. Chosen from the ledger (BM_ForwardLanes, README).
+  /// Series per group, and the most a forward holds. Chosen from the ledger
+  /// (BM_ForwardLanes, README).
   static constexpr std::size_t kLanes = 8;
+  /// Steps per lane-kernel call: the SoA ring holds kBlockSteps + 1 state
+  /// blocks. Chosen by measurement (README, "The DPRR across lanes").
+  static constexpr std::size_t kBlockSteps = 32;
 
-  /// Storage for groups of up to `max_lanes` series of `steps` rows and
-  /// mask.channels() columns, keeping the last min(window, steps) steps of
-  /// each (window = 0 keeps no tail: a feature pass). Borrows `mask`, which
-  /// must outlive this object.
+  /// Storage for groups of up to `max_lanes` (1 to kLanes) series of
+  /// `steps` rows and mask.channels() columns, keeping the last
+  /// min(window, steps) steps of each (window = 0 keeps no tail: a feature
+  /// pass). Borrows `mask`, which must outlive this object.
   ForwardLanes(const ModularReservoir& reservoir, const Mask& mask,
                std::size_t steps, std::size_t window,
                std::size_t max_lanes = kLanes);
@@ -121,34 +132,49 @@ class ForwardLanes {
   /// mask.channels().
   void run(const DfrParams& params, std::span<const Matrix* const> series);
 
-  /// Lane l's DPRR r (raw sums, see dprr_time_scale) from the last run.
+  /// Lane l's DPRR r (raw sums, see dprr_time_scale) from the last run,
+  /// valid until the next dprr() or run() call.
   [[nodiscard]] const Vector& dprr(std::size_t lane);
   /// Lane l's tail from the last run, laid out as TruncatedForward's.
   [[nodiscard]] const Matrix& tail_states(std::size_t lane) const;
   [[nodiscard]] const Matrix& tail_j(std::size_t lane) const;
 
-  [[nodiscard]] std::size_t max_lanes() const noexcept { return dprr_.size(); }
+  [[nodiscard]] std::size_t max_lanes() const noexcept { return max_lanes_; }
   /// (kept+1) * Nx: TruncatedForward::stored_state_values for one series.
   [[nodiscard]] std::size_t stored_state_values() const noexcept {
     return (kept_ + 1) * nx_;
   }
 
  private:
-  /// Lane `lane`'s x(k) and j(k) (every `stride`-th value from `j`) into its
-  /// tail, when step k falls in it.
-  void keep(std::size_t lane, std::size_t k, std::span<const double> x_k,
-            const double* j, std::size_t stride);
+  /// A group runs on a multiple of this many lanes, at most max_lanes(): a
+  /// whole AVX2 vector, and the AVX-512 set's 256-bit half step, so no group
+  /// of two or more series runs a scalar lane remainder there.
+  static constexpr std::size_t kPadLanes = 4;
+
+  /// Lane `lane`'s x(k) and j(k), every `stride`-th value from `x` and `j`,
+  /// into its tail, when step k falls in it.
+  void keep(std::size_t lane, std::size_t k, const double* x, const double* j,
+            std::size_t stride);
 
   const Mask* mask_;
   Nonlinearity f_;
   simd::Backend backend_;
+  simd::DprrLanesFn dprr_lanes_;
   std::size_t nx_;
   std::size_t steps_;
   std::size_t kept_;       // min(window, steps)
+  std::size_t max_lanes_;
   std::size_t lanes_ = 0;  // lanes of the last run
+  std::size_t width_ = 0;  // the last run's lanes with its pad lanes
   Vector j_;               // j(k) of a one-series run
+  DprrAccumulator single_;             // r of a one-series run
   SoaStep step_;
-  std::vector<DprrAccumulator> dprr_;  // one per lane
+  std::vector<const Matrix*> group_;   // a run's series, padded to max_lanes
+  std::size_t ring_size_ = 0;  // the SoA ring's doubles, in whole lines
+  // From its first 64-byte line: the SoA ring, kBlockSteps + 1 blocks of
+  // Nx x max_lanes states, then every lane's r, dprr_dim(Nx) x max_lanes.
+  Vector lane_buf_;
+  Vector lane_r_;  // dprr()'s readout of one lane
   std::vector<Matrix> tail_states_;    // one per lane, (kept+1) x Nx
   std::vector<Matrix> tail_j_;         // one per lane, kept x Nx
 };

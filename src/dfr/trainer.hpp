@@ -132,7 +132,7 @@ struct TrainResult {
   // one training step, per series: (w+1)*Nx, or (T+1)*Nx under full BPTT.
   // The lockstep forward (ForwardLanes) holds kLanes such tails at once,
   // 8 x 2 x 30 = 480 values at w = 1 and Nx = 30, still independent of T;
-  // like its accumulator rings, that is not counted here.
+  // like its SoA state ring, that is not counted here.
   std::size_t stored_state_values = 0;
 
   [[nodiscard]] double total_seconds() const noexcept {

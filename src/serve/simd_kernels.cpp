@@ -96,6 +96,27 @@ void batched_mask_scalar(const double* weights, std::size_t nx,
   }
 }
 
+// The oracle of the lane kernels: the plain loop over steps, elements and
+// lanes, a multiply then an add per element, as dprr_block_scalar per lane.
+void dprr_lanes_scalar(double* r, const double* states, std::size_t steps,
+                       std::size_t nx, std::size_t lanes) {
+  const std::size_t block = nx * lanes;
+  for (std::size_t k = 0; k < steps; ++k) {
+    const double* x_km1 = states + k * block;
+    const double* x_k = x_km1 + block;
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double* xi = x_k + i * lanes;
+      for (std::size_t j = 0; j < nx; ++j) {
+        const double* xj = x_km1 + j * lanes;
+        double* rij = r + (i * nx + j) * lanes;
+        for (std::size_t l = 0; l < lanes; ++l) rij[l] += xi[l] * xj[l];
+      }
+      double* sum_i = r + (nx * nx + i) * lanes;
+      for (std::size_t l = 0; l < lanes; ++l) sum_i[l] += xi[l];
+    }
+  }
+}
+
 // The row kernel's upper triangle, four entries (i, j..j+3) per pass over row
 // i, then mirrored: entry (j, i) is the same dot with each product's factors
 // swapped, which rounds identically. The bias feature adds its 1.0 * 1.0
@@ -167,6 +188,7 @@ constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &batched_bchain_scalar,
                                  &batched_quant_bchain_scalar,
                                  &batched_mask_scalar,
+                                 &dprr_lanes_scalar,
                                  &row_gram_scalar,
                                  &back_project_scalar};
 

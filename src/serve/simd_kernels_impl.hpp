@@ -324,6 +324,90 @@ void batched_mask(const double* weights, std::size_t nx, std::size_t channels,
   }
 }
 
+// ---- the exact DPRR across lanes (DprrLanesFn) ------------------------------
+// A vector holds one element of r, or one node of a state, for consecutive
+// lanes, so every vector operation is whole at any Nx. A tile of kRows x
+// kCols elements (i, j) of r stays in registers across a block's steps; each
+// step loads kRows lane vectors x(k)_i and kCols lane vectors x(k-1)_j for
+// kRows * kCols multiply-adds, each a multiply then an add in the per-lane
+// kernel's operand order (dprr_tile), so every lane keeps its bits.
+
+// The tile edge per vector width, chosen by measurement (README, "The DPRR
+// across lanes"): 5 x 5 at 8 doubles, whose 25 accumulators
+// and 6 operands take 31 of AVX-512's 32 registers; 3 x 3 below it, where 16
+// registers are addressable (AVX2, and the VEX-encoded 256-bit half step of
+// the AVX-512 set) or the step is the scalar lane remainder.
+template <class O>
+inline constexpr std::size_t kLaneTile = O::kWidth >= 8 ? 5 : 3;
+
+// One tile at rows i0.. and columns j0.. of the lane vector that `r` and
+// `states` already point at.
+template <class O, std::size_t kRows, std::size_t kCols>
+inline void dprr_lanes_tile(double* r, const double* states, std::size_t steps,
+                            std::size_t nx, std::size_t lanes, std::size_t i0,
+                            std::size_t j0) {
+  const std::size_t block = nx * lanes;
+  typename O::vec acc[kRows][kCols];
+  for (std::size_t a = 0; a < kRows; ++a) {
+    const double* r_a = r + ((i0 + a) * nx + j0) * lanes;
+    for (std::size_t b = 0; b < kCols; ++b) {
+      acc[a][b] = O::load(r_a + b * lanes);
+    }
+  }
+  const double* x_j = states + j0 * lanes;          // x(k-1), column j0
+  const double* x_i = states + block + i0 * lanes;  // x(k), row i0
+  const double* const end = x_j + steps * block;
+  // steps >= 1: a loop known to run lets GCC keep the accumulators in
+  // registers from the loads to the stores, not copy them through the stack.
+  do {
+    typename O::vec xj[kCols];
+    for (std::size_t b = 0; b < kCols; ++b) xj[b] = O::load(x_j + b * lanes);
+    for (std::size_t a = 0; a < kRows; ++a) {
+      const typename O::vec xi = O::load(x_i + a * lanes);
+      for (std::size_t b = 0; b < kCols; ++b) {
+        acc[a][b] = madd<O, Accumulate::kExact>(xi, xj[b], acc[a][b]);
+      }
+    }
+    x_j += block;
+    x_i += block;
+  } while (x_j != end);
+  for (std::size_t a = 0; a < kRows; ++a) {
+    double* r_a = r + ((i0 + a) * nx + j0) * lanes;
+    for (std::size_t b = 0; b < kCols; ++b) {
+      O::store(r_a + b * lanes, acc[a][b]);
+    }
+  }
+}
+
+// Lane vector by lane vector: the Nx x Nx block tile by tile, then the
+// node-sum rows, one add per step in time order.
+template <class Ops>
+void dprr_lanes_exact(double* r, const double* states, std::size_t steps,
+                      std::size_t nx, std::size_t lanes) {
+  const std::size_t block = nx * lanes;
+  for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
+    constexpr std::size_t kTile = kLaneTile<O>;
+    for (std::size_t i = 0; i < nx; i += kTile) {
+      with_tile_rows<kTile>(nx - i, [&](auto rows) {
+        for (std::size_t j = 0; j < nx; j += kTile) {
+          with_tile_rows<kTile>(nx - j, [&](auto cols) {
+            dprr_lanes_tile<O, decltype(rows)::value, decltype(cols)::value>(
+                r + l, states + l, steps, nx, lanes, i, j);
+          });
+        }
+      });
+    }
+    for (std::size_t i = 0; i < nx; ++i) {
+      double* sum_i = r + (nx * nx + i) * lanes + l;
+      typename O::vec sum = O::load(sum_i);
+      for (std::size_t k = 1; k <= steps; ++k) {
+        sum = O::add(sum, O::load(states + k * block + i * lanes + l));
+      }
+      O::store(sum_i, sum);
+    }
+  });
+}
+
 // ---- ridge readout products (RowGramFn, BackProjectFn) ----------------------
 // Exact rounding throughout (a separate multiply and add, never FMA), and
 // every output summed from 0.0 in the scalar entry's order: the vectors run
@@ -489,6 +573,7 @@ constexpr Kernels kernel_table(Backend backend) noexcept {
                  &batched_bchain<Ops>,
                  &batched_quant_bchain<Ops>,
                  &batched_mask<Ops>,
+                 &dprr_lanes_exact<Ops>,
                  &row_gram<Ops>,
                  &back_project<Ops>};
 }

@@ -4,14 +4,16 @@
 // engine (serve/engine.hpp, BatchedEngine) and the lockstep training forward
 // (dfr/backprop.hpp, ForwardLanes).
 //
-// Blocks are indexed [node*lanes + lane], where `lanes` is the count given
-// to start(). advance() gathers each lane's input row, then runs a SIMD
-// datapath's two SoA stages over the whole block: mask_soa (the mask and,
-// for the quantized family, its round-to-format) -> step_soa (preadd +
-// nonlinearity, then the cross-lane B-chain). What a caller does with the
-// new state is its own: both callers gather each lane's states out of the
-// block into that lane's DPRR. Storage is allocated at construction;
-// nothing after it allocates.
+// Blocks are indexed [node*lanes + lane], where `lanes` is the number of
+// series a step is given. advance() gathers each lane's input row, then runs
+// a SIMD datapath's two SoA stages over the whole block: mask_soa (the mask
+// and, for the quantized family, its round-to-format) -> step_soa (preadd +
+// nonlinearity, then the cross-lane B-chain). The state blocks are this
+// object's own pair, or any two the caller holds: the training forward
+// steps straight into its SoA ring of recent states, whose time blocks run
+// through the lane DPRR kernel as they are; the batched engine gathers each
+// lane's states out of its own pair into that lane's DPRR. Storage is
+// allocated at construction; nothing after it allocates.
 
 #include <algorithm>
 #include <span>
@@ -31,19 +33,28 @@ class SoaStep {
         x_prev_(nx * max_lanes, 0.0),
         x_(nx * max_lanes, 0.0) {}
 
-  /// x(0) = 0 in each of the first `lanes` lanes.
+  /// x(0) = 0 in each of the first `lanes` lanes of the own state pair.
   void start(std::size_t lanes) noexcept {
-    lanes_ = lanes;
     std::fill_n(x_.begin(), nx_ * lanes, 0.0);
   }
 
-  /// One step: lane l reads row k of *series[l] (series.size() == the
-  /// start() lane count, every series channels() wide). The state becomes
-  /// x(k+1) and the one before it previous().
+  /// One step over the own state pair: lane l reads row k of *series[l]
+  /// (series.size() == the start() lane count). The state becomes x(k+1)
+  /// and the one before it previous().
   template <typename Datapath>
   void advance(const Datapath& datapath, std::span<const Matrix* const> series,
                std::size_t k) {
-    const std::size_t n = lanes_;
+    std::swap(x_prev_, x_);  // pointer swap: no allocation
+    advance(datapath, series, k, x_prev_.data(), x_.data());
+  }
+
+  /// One step from the caller's state block `x_prev` into its block `x_out`
+  /// (each Nx x series.size(), neither aliasing the other): lane l reads row
+  /// k of *series[l], every series channels() wide.
+  template <typename Datapath>
+  void advance(const Datapath& datapath, std::span<const Matrix* const> series,
+               std::size_t k, const double* x_prev, double* x_out) {
+    const std::size_t n = series.size();
     // Gather this time step's raw inputs into SoA (channels*n cheap copies),
     // then mask all lanes at once: j_[i*n + l] = (M u_l(k))_i. The batched
     // mask kernel preserves the scalar dot() order per lane, so this stage
@@ -52,13 +63,12 @@ class SoaStep {
       const auto row = series[l]->row(k);
       for (std::size_t v = 0; v < channels_; ++v) u_[v * n + l] = row[v];
     }
-    std::swap(x_prev_, x_);  // pointer swap: no allocation
     datapath.mask_soa(u_.data(), j_.data(), n);
-    datapath.step_soa(j_.data(), x_prev_.data(), x_.data(), n);
+    datapath.step_soa(j_.data(), x_prev, x_out, n);
   }
 
-  /// The last step's SoA blocks: the masked input j(k), the state x(k) and
-  /// the state before it, x(k-1).
+  /// The last step's masked input block j(k), and the own pair's state x(k)
+  /// and the state before it, x(k-1).
   [[nodiscard]] const double* masked() const noexcept { return j_.data(); }
   [[nodiscard]] const double* state() const noexcept { return x_.data(); }
   [[nodiscard]] const double* previous() const noexcept {
@@ -68,7 +78,6 @@ class SoaStep {
  private:
   std::size_t nx_;
   std::size_t channels_;
-  std::size_t lanes_ = 0;
   Vector u_;       // raw inputs, channels x lanes
   Vector j_;       // masked inputs, nx x lanes
   Vector x_prev_;  // x(k-1), nx x lanes

@@ -8,6 +8,8 @@
 //     a plain Mask::apply_into + ModularReservoir::step +
 //     DprrAccumulator::add loop, for windows shorter than, equal to and
 //     longer than the series;
+//   - a lane's DPRR and tail in a group of any size, pad lanes included,
+//     are its one-lane run's;
 //   - after construction, run() and the lane accessors allocate nothing;
 //   - malformed groups throw CheckError.
 // Bit-identity is asserted on x86-64, where the batched step kernels round
@@ -266,6 +268,39 @@ TEST(ForwardLanes, LanesMatchOneLaneRuns) {
     expect_same_bits(all_of(one.tail_j), all_of(lanes.tail_j(l)), context);
   }
   EXPECT_EQ(lanes.stored_state_values(), 3 * kNx);
+}
+
+// Every group size, pad lanes included: a lane's DPRR and tail do not depend
+// on how many series share its group, over more than one lane-kernel block.
+TEST(ForwardLanes, EveryGroupSizeMatchesOneLaneRuns) {
+  constexpr std::size_t kNx = 9;
+  constexpr std::size_t kSteps = ForwardLanes::kBlockSteps + 9;
+  constexpr std::size_t kWindow = 3;
+  const DfrParams params{0.3, 0.35};
+  Rng rng(57);
+  const ModularReservoir reservoir(kNx, Nonlinearity(NonlinearityKind::kTanh));
+  const Mask mask(kNx, 2, MaskKind::kUniform, rng);
+  std::vector<Matrix> batch;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    batch.push_back(random_series(kSteps, 2, rng));
+  }
+  std::vector<const Matrix*> ptrs;
+  for (const Matrix& s : batch) ptrs.push_back(&s);
+
+  ForwardLanes lanes(reservoir, mask, kSteps, kWindow);
+  for (std::size_t n = 1; n <= kLanes; ++n) {
+    lanes.run(params, std::span<const Matrix* const>(ptrs.data(), n));
+    for (std::size_t l = 0; l < n; ++l) {
+      const TruncatedForward one =
+          run_forward_truncated(reservoir, params, mask, batch[l], kWindow);
+      const std::string context =
+          "n=" + std::to_string(n) + " lane " + std::to_string(l);
+      expect_same_bits(one.dprr, lanes.dprr(l), context);
+      expect_same_bits(all_of(one.tail_states), all_of(lanes.tail_states(l)),
+                       context);
+      expect_same_bits(all_of(one.tail_j), all_of(lanes.tail_j(l)), context);
+    }
+  }
 }
 
 // ---- allocation and argument contracts --------------------------------------

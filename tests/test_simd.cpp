@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "dfr/backprop.hpp"
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -379,6 +380,60 @@ TEST(SimdKernels, DprrBlockBitIdenticalToItsSteps) {
                 << context << " vs the scalar oracle";
           }
 #endif
+        }
+      }
+    }
+  }
+}
+
+// The lane DPRR against the per-lane exact block kernel, on every backend:
+// each lane's r must have the bits (memcmp, so signed zeros count) that
+// dprr_block_exact leaves in that lane's r over that lane's states, at every
+// Nx from 1 to 17 and at 30, 31 and 100, every lane count from 1 to 16, and
+// block lengths around ForwardLanes' K. r starts nonzero, and about a tenth
+// of the states and of r start as exactly +0.0 or -0.0.
+TEST(SimdKernels, DprrLanesBitIdenticalToPerLaneBlocks) {
+  constexpr std::size_t kK = ForwardLanes::kBlockSteps;
+  std::vector<std::size_t> sizes;
+  for (std::size_t nx = 1; nx <= 17; ++nx) sizes.push_back(nx);
+  for (std::size_t nx : {30, 31, 100}) sizes.push_back(nx);
+  Rng rng(41);
+  const auto draw = [&rng](double scale) {
+    const double u = rng.uniform(-1.0, 1.0);
+    if (std::fabs(u) < 0.1) return u < 0.0 ? -0.0 : 0.0;
+    return scale * u;
+  };
+  for (std::size_t nx : sizes) {
+    const std::size_t dim = dprr_dim(nx);
+    for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+      for (std::size_t steps :
+           {std::size_t{1}, kK - 1, kK, kK + 1, std::size_t{151}}) {
+        Vector states((steps + 1) * nx * lanes);
+        for (double& v : states) v = draw(1.0);
+        Vector r0(dim * lanes);
+        for (double& v : r0) v = draw(4.0);
+        for (simd::Backend b : available_backends()) {
+          const simd::Kernels& kernels = simd::kernels_for(b);
+          Vector r = r0;
+          kernels.dprr_lanes_exact(r.data(), states.data(), steps, nx, lanes);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            Vector lane_states((steps + 1) * nx);
+            for (std::size_t q = 0; q < lane_states.size(); ++q) {
+              lane_states[q] = states[q * lanes + l];
+            }
+            Vector expected(dim), got(dim);
+            for (std::size_t f = 0; f < dim; ++f) {
+              expected[f] = r0[f * lanes + l];
+              got[f] = r[f * lanes + l];
+            }
+            kernels.dprr_block_exact(expected.data(), lane_states.data(),
+                                     steps, nx);
+            ASSERT_EQ(std::memcmp(expected.data(), got.data(),
+                                  dim * sizeof(double)),
+                      0)
+                << simd::backend_name(b) << " nx=" << nx
+                << " lanes=" << lanes << " steps=" << steps << " lane=" << l;
+          }
         }
       }
     }
