@@ -28,12 +28,8 @@ simd::DprrBlockFn dprr_block_kernel(DprrRounding rounding,
 }
 
 DprrAccumulator::DprrAccumulator(std::size_t nx, DprrRounding rounding,
-                                 simd::Backend backend)
-    : nx_(nx),
-      block_(dprr_block_kernel(rounding, backend)),
-      ring_((kBlockSteps + 1) * nx, 0.0),
-      r_(dprr_dim(nx), 0.0) {
-  DFR_CHECK(nx > 0);
+                                 simd::Backend backend) {
+  reset(nx, dprr_block_kernel(rounding, backend));
 }
 
 void DprrAccumulator::commit() noexcept {
@@ -72,6 +68,15 @@ void DprrAccumulator::reset() noexcept {
   std::fill_n(ring_.begin(), nx_, 0.0);
   steps_ = 0;
   pending_ = 0;
+}
+
+void DprrAccumulator::reset(std::size_t nx, simd::DprrBlockFn block) {
+  DFR_CHECK(nx > 0);
+  nx_ = nx;
+  block_ = block;
+  ring_.resize((kBlockSteps + 1) * nx);
+  r_.resize(dprr_dim(nx));
+  reset();
 }
 
 }  // namespace dfr

@@ -66,12 +66,16 @@ enum class DprrRounding { kExact, kFloat };
 /// Streaming accumulator over one series at a time. A caller either steps
 /// its reservoir straight into the ring (previous() -> next(), then
 /// commit()) or hands in states it holds elsewhere (add). Storage is
-/// allocated at construction; nothing after it allocates.
+/// allocated at construction, or by reset(nx, block) when nx outgrows it;
+/// nothing else allocates.
 class DprrAccumulator {
  public:
   /// Steps per kernel call: the ring holds kBlockSteps + 1 states. Chosen
   /// from the kernel ledger (BM_Kernel/dprr_block*, see README).
   static constexpr std::size_t kBlockSteps = 32;
+
+  /// Empty: reset(nx, block) sizes it before its first series.
+  DprrAccumulator() = default;
 
   /// Exact rounding on the active backend unless told otherwise; an explicit
   /// backend follows simd::kernels_for (throws CheckError when unavailable).
@@ -106,13 +110,19 @@ class DprrAccumulator {
   /// Start over: r = 0, x(0) = 0, no steps.
   void reset() noexcept;
 
+  /// Start over for a series of `nx` nodes, accumulated by `block`. The
+  /// ring and r grow only past the largest `nx` they held, so one
+  /// accumulator serves models of several sizes and stops allocating once
+  /// it has served the largest.
+  void reset(std::size_t nx, simd::DprrBlockFn block);
+
  private:
   void flush() noexcept;
 
-  std::size_t nx_;
+  std::size_t nx_ = 0;
   std::size_t steps_ = 0;
   std::size_t pending_ = 0;  // committed steps not in r_: ring rows 1..pending_
-  simd::DprrBlockFn block_;
+  simd::DprrBlockFn block_ = nullptr;
   Vector ring_;  // (kBlockSteps + 1) x nx; row 0 = x(k0-1) of the pending block
   Vector r_;
 };

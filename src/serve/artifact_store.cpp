@@ -314,9 +314,8 @@ void ArtifactStore::evict_to_cap(const Entry* keep) {
     if (const ModelArtifactPtr victim = registry_->get(victim_id)) {
       if (const auto mapping = mapping_of(*victim)) mapping->advise_dontneed();
     }
-    // Outside any registry listener by construction (we ARE the driver):
-    // evict() notifies the engine pool, workers reclaim deferred, and the
-    // mapping unmaps when the last in-flight reference drains.
+    // The mapping unmaps when the last in-flight request on it resolves;
+    // the server holds the model no longer than that.
     registry_->evict(victim_id);
     note_nonresident(it->second);
     ++evictions_;

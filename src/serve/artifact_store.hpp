@@ -23,14 +23,11 @@
 // ids are `add`ed with their .dfrm path, and `get` faults the artifact in on
 // first use (registering it in the registry), touches LRU order on hits, and
 // when `max_resident_bytes` would be exceeded evicts least-recently-used
-// models via `ModelRegistry::evict`. Eviction flows through the registry's
-// existing subscriptions, so the server's `EnginePool` reclaims cached
-// engines on each worker's own thread (PR 5 deferred reclaim) and in-flight
-// requests finish safely on the artifact references they already hold; the
-// pages actually unmap when the last reference drains. A later `get` for an
-// evicted id transparently faults it back in. The store never evicts from
-// inside a registry eviction listener (that is forbidden by the
-// subscription contract); it is itself the eviction driver.
+// models via `ModelRegistry::evict`. Nothing else needs telling: the server
+// holds a model only while a request runs on it (serve/server.hpp), so
+// requests in flight finish safely on the artifact references they already
+// hold, and the pages unmap as soon as the last of them resolves. A later
+// `get` for an evicted id transparently faults it back in.
 //
 // Predictive prefetch
 // -------------------

@@ -250,30 +250,19 @@ void SimdQuantizedDatapath::finalize(std::span<double> r,
                            r.size());
 }
 
-// ---- BatchedEngine ---------------------------------------------------------
+// ---- BatchedScratch --------------------------------------------------------
 
 template <typename P>
-BatchedEngine<P>::BatchedEngine(P datapath, std::size_t max_lanes)
-    : datapath_(std::move(datapath)),
-      dprr_block_(dprr_block_kernel(P::kDprrRounding, datapath_.backend())),
-      max_lanes_(max_lanes),
-      step_(datapath_.nodes(), datapath_.channels(), max_lanes),
-      pair_(2 * datapath_.nodes(), 0.0),
-      r_(dprr_dim(datapath_.nodes()) * max_lanes, 0.0),
-      logits_(
-          (datapath_.readout()
-               ? static_cast<std::size_t>(datapath_.readout()->num_classes())
-               : 0) *
-              max_lanes,
-          0.0),
-      labels_(max_lanes, -1) {
+BatchedScratch<P>::BatchedScratch(std::size_t max_lanes)
+    : max_lanes_(max_lanes) {
   DFR_CHECK_MSG(max_lanes_ >= 1, "batched engine needs at least one lane");
   DFR_CHECK_MSG(max_lanes_ <= simd::kBatchedMaxLanes,
                 "batched engine lane count exceeds kBatchedMaxLanes");
 }
 
 template <typename P>
-void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
+void BatchedScratch<P>::infer(const P& datapath,
+                              std::span<const Matrix* const> series) {
   const std::size_t n = series.size();
   DFR_CHECK_MSG(n >= 1, "batched infer needs at least one lane");
   DFR_CHECK_MSG(n <= max_lanes_,
@@ -284,21 +273,28 @@ void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
                       s->cols() == series[0]->cols(),
                   "batched lanes must share one series shape");
   }
-  DFR_CHECK_MSG(series[0]->cols() == datapath_.channels(),
+  DFR_CHECK_MSG(series[0]->cols() == datapath.channels(),
                 "series channel count != mask width");
   DFR_CHECK_MSG(series[0]->rows() >= 1, "series needs at least one time step");
-  const OutputLayer* out = datapath_.readout();
+  const OutputLayer* out = datapath.readout();
   DFR_CHECK_MSG(out != nullptr, "batched datapath has no readout");
 
-  const std::size_t nx = datapath_.nodes();
-  const std::size_t dim = dprr_dim(nx);
+  const std::size_t nx = datapath.nodes();
   const std::size_t t_len = series[0]->rows();
+  const simd::DprrBlockFn dprr_block = datapath.dprr_block();
+  dim_ = dprr_dim(nx);
+  classes_ = static_cast<std::size_t>(out->num_classes());
   batch_size_ = n;
-  std::fill_n(r_.begin(), dim * n, 0.0);
+  step_.resize(nx, datapath.channels(), max_lanes_);
+  pair_.resize(2 * nx);
+  r_.resize(dim_ * max_lanes_);
+  logits_.resize(classes_ * max_lanes_);
+  labels_.resize(max_lanes_);
+  std::fill_n(r_.begin(), dim_ * n, 0.0);
 
   step_.start(n);  // x(0) = 0
   for (std::size_t k = 0; k < t_len; ++k) {
-    step_.advance(datapath_, series, k);
+    step_.advance(datapath, series, k);
     const double* x_prev = step_.previous();
     const double* x = step_.state();
     for (std::size_t l = 0; l < n; ++l) {
@@ -306,43 +302,40 @@ void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
         pair_[i] = x_prev[i * n + l];
         pair_[nx + i] = x[i * n + l];
       }
-      dprr_block_(r_.data() + l * dim, pair_.data(), 1, nx);
+      dprr_block(r_.data() + l * dim_, pair_.data(), 1, nx);
     }
   }
-  datapath_.finalize(std::span<double>(r_.data(), dim * n), t_len);
+  datapath.finalize(std::span<double>(r_.data(), dim_ * n), t_len);
 
-  const std::size_t ny = static_cast<std::size_t>(out->num_classes());
   for (std::size_t l = 0; l < n; ++l) {
-    const std::span<double> lane(logits_.data() + l * ny, ny);
-    out->logits_into(std::span<const double>(r_.data() + l * dim, dim), lane);
+    const std::span<double> lane(logits_.data() + l * classes_, classes_);
+    out->logits_into(std::span<const double>(r_.data() + l * dim_, dim_), lane);
     labels_[l] = static_cast<int>(
         std::max_element(lane.begin(), lane.end()) - lane.begin());
   }
 }
 
 template <typename P>
-std::span<const double> BatchedEngine<P>::lane_logits(std::size_t lane) const {
+std::span<const double> BatchedScratch<P>::lane_logits(std::size_t lane) const {
   DFR_CHECK_MSG(lane < batch_size_, "lane index beyond the last batch size");
-  const std::size_t ny = logits_.size() / max_lanes_;
-  return std::span<const double>(logits_.data() + lane * ny, ny);
+  return std::span<const double>(logits_.data() + lane * classes_, classes_);
 }
 
 template <typename P>
-int BatchedEngine<P>::lane_label(std::size_t lane) const {
+int BatchedScratch<P>::lane_label(std::size_t lane) const {
   DFR_CHECK_MSG(lane < batch_size_, "lane index beyond the last batch size");
   return labels_[lane];
 }
 
 template <typename P>
-std::span<const double> BatchedEngine<P>::lane_features(
+std::span<const double> BatchedScratch<P>::lane_features(
     std::size_t lane) const {
   DFR_CHECK_MSG(lane < batch_size_, "lane index beyond the last batch size");
-  const std::size_t dim = r_.size() / max_lanes_;
-  return std::span<const double>(r_.data() + lane * dim, dim);
+  return std::span<const double>(r_.data() + lane * dim_, dim_);
 }
 
-template class BatchedEngine<SimdFloatDatapath>;
-template class BatchedEngine<SimdQuantizedDatapath>;
+template class BatchedScratch<SimdFloatDatapath>;
+template class BatchedScratch<SimdQuantizedDatapath>;
 
 BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
                                            std::size_t max_lanes,
@@ -358,50 +351,50 @@ BatchedQuantizedInferenceEngine make_batched_engine(
       SimdQuantizedDatapath(std::move(model), backend), max_lanes);
 }
 
-// ---- BasicEngine -----------------------------------------------------------
+// ---- SeriesScratch / BasicEngine ------------------------------------------
 
 template <InferenceDatapath P>
-BasicEngine<P>::BasicEngine(P datapath)
-    : datapath_(std::move(datapath)),
-      j_(datapath_.nodes(), 0.0),
-      r_(dprr_dim(datapath_.nodes()), 0.0),
-      logits_(datapath_.readout()
-                  ? static_cast<std::size_t>(datapath_.readout()->num_classes())
-                  : 0,
-              0.0),
-      dprr_(datapath_.make_accumulator()) {}
-
-template <InferenceDatapath P>
-std::span<const double> BasicEngine<P>::features(const Matrix& series) {
-  DFR_CHECK_MSG(series.cols() == datapath_.channels(),
+std::span<const double> SeriesScratch<P>::features(const P& datapath,
+                                                   const Matrix& series) {
+  DFR_CHECK_MSG(series.cols() == datapath.channels(),
                 "series channel count != mask width");
   DFR_CHECK_MSG(series.rows() >= 1, "series needs at least one time step");
-  dprr_.reset();  // x(0) = 0
+  const std::size_t nx = datapath.nodes();
+  j_.resize(nx);
+  r_.resize(dprr_dim(nx));
+  dprr_.reset(nx, datapath.dprr_block());  // x(0) = 0
   for (std::size_t k = 0; k < series.rows(); ++k) {
-    datapath_.mask_into(series.row(k), j_);
-    datapath_.step(j_, dprr_.previous(), dprr_.next());
+    datapath.mask_into(series.row(k), j_);
+    datapath.step(j_, dprr_.previous(), dprr_.next());
     dprr_.commit();
   }
   const Vector& dprr = dprr_.features();
   std::copy(dprr.begin(), dprr.end(), r_.begin());
-  datapath_.finalize(r_, series.rows());
+  datapath.finalize(r_, series.rows());
   return r_;
 }
 
 template <InferenceDatapath P>
-std::span<const double> BasicEngine<P>::infer(const Matrix& series) {
-  const OutputLayer* out = datapath_.readout();
+std::span<const double> SeriesScratch<P>::infer(const P& datapath,
+                                                const Matrix& series) {
+  const OutputLayer* out = datapath.readout();
   DFR_CHECK_MSG(out != nullptr, "features-only datapath has no readout");
-  features(series);
+  features(datapath, series);
+  logits_.resize(static_cast<std::size_t>(out->num_classes()));
   out->logits_into(r_, logits_);
   return logits_;
 }
 
+template class SeriesScratch<FloatDatapath>;
+template class SeriesScratch<QuantizedDatapath>;
+template class SeriesScratch<SimdFloatDatapath>;
+template class SeriesScratch<SimdQuantizedDatapath>;
+
 template <InferenceDatapath P>
 int BasicEngine<P>::classify(const Matrix& series) {
-  infer(series);
-  return static_cast<int>(
-      std::max_element(logits_.begin(), logits_.end()) - logits_.begin());
+  const std::span<const double> logits = infer(series);
+  return static_cast<int>(std::max_element(logits.begin(), logits.end()) -
+                          logits.begin());
 }
 
 template <InferenceDatapath P>

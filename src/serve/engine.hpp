@@ -10,10 +10,12 @@
 //     j(k) = M u(k)  ->  x(k) = step(j(k), x(k-1))  ->  dprr += x(k) x(k-1)^T
 //     ->  r = finalize(dprr)  ->  logits = W r + b  ->  argmax
 //
-// — over per-engine scratch buffers (the DprrAccumulator's state ring, which
-// each reservoir step writes straight into, a masked-input row, a logits
-// buffer), so classify performs ZERO heap allocations in steady state
-// (test_serve.cpp instruments operator new to enforce this).
+// — over scratch buffers (the DprrAccumulator's state ring, which each
+// reservoir step writes straight into, a masked-input row, a logits buffer)
+// that hold no model: SeriesScratch takes the datapath to run on every call,
+// so classify performs ZERO heap allocations in steady state
+// (test_serve.cpp instruments operator new to enforce this), and one scratch
+// serves any number of models.
 //
 // What varies between deployments is captured by a Datapath policy, four in
 // all: two scalar references and one SIMD datapath per numeric family.
@@ -31,32 +33,37 @@
 // (fixed-point rounding is exact; see the quantized contract in
 // simd_kernels.hpp). Every datapath accumulates the DPRR through the same
 // time-blocked kernel; a policy only names its rounding and backend through
-// make_accumulator() (the SIMD datapaths state theirs once, kDprrRounding):
-// FMA rounding for SimdFloatDatapath, exact for the others, so those three
-// stay bit-identical to the DPRR definition.
+// dprr_block() (the SIMD datapaths state theirs once, kDprrRounding): FMA
+// rounding for SimdFloatDatapath, exact for the others, so those three stay
+// bit-identical to the DPRR definition.
 //
 // The two SIMD datapaths also run a step over many series at once, in
-// structure-of-arrays form (mask_soa, step_soa): BatchedEngine serves a
+// structure-of-arrays form (mask_soa, step_soa): BatchedScratch serves a
 // micro-batch through them, one lane per request, and accumulates each
 // lane's DPRR through the same block kernel, so a batched lane is
-// bit-identical to BasicEngine over the same datapath.
+// bit-identical to the single-series pipeline over the same datapath.
 //
-// Ownership: the full-inference datapaths hold a reference-counted
-// ModelArtifactPtr (see model_io.hpp), so an engine keeps its model alive
-// for as long as the engine exists — the multi-model registry can hot-swap
-// or evict an artifact while engines built on the old one keep serving it
-// safely. Constructing from a LoadedModel snapshots it into a fresh
-// artifact. Only the features-only constructors (batch feature extraction,
-// where the trainer owns the weights) still borrow.
+// Scratch and model are separate objects. A datapath is the model: cheap to
+// build, immutable, and the full-inference ones hold a reference-counted
+// ModelArtifactPtr (see model_io.hpp), so the registry can hot-swap or evict
+// an artifact while a call on the old one finishes safely. Constructing from
+// a LoadedModel snapshots it into a fresh artifact; only the features-only
+// constructors (batch feature extraction, where the trainer owns the
+// weights) still borrow. A scratch is the mutable state of one call in
+// flight and holds no model. BasicEngine and BatchedEngine pair one datapath
+// with one scratch; a server worker keeps the scratch and builds each
+// request's datapath on the stack (serve/server.hpp), so nothing pins a
+// model past its request.
 //
-// Threading: one engine serves one stream; engines share the immutable model
-// and are cheap to create, so batch serving makes one engine per worker.
+// Threading: one scratch serves one call at a time; datapaths are immutable
+// and shareable, so batch serving makes one engine per worker.
 // classify_batch does precisely that on top of util/parallel.hpp, with
 // deterministic output ordering for any thread count.
 
 #include <concepts>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dfr/dprr.hpp"
@@ -71,9 +78,9 @@ namespace dfr {
 
 /// What a datapath must provide for the shared streaming pipeline: the model
 /// shape, the masked-input transform, one reservoir time step, the DPRR
-/// accumulator (its rounding and backend), the feature finalization (time
-/// averaging plus any datapath-specific scaling / quantization), and an
-/// optional readout (null = features-only).
+/// block kernel (its rounding on its backend), the feature finalization
+/// (time averaging plus any datapath-specific scaling / quantization), and
+/// an optional readout (null = features-only).
 template <typename P>
 concept InferenceDatapath =
     requires(const P& p, std::span<const double> in, std::span<double> out,
@@ -82,7 +89,7 @@ concept InferenceDatapath =
       { p.channels() } -> std::convertible_to<std::size_t>;
       { p.mask_into(in, out) };
       { p.step(in, in, out) };
-      { p.make_accumulator() } -> std::same_as<DprrAccumulator>;
+      { p.dprr_block() } -> std::same_as<simd::DprrBlockFn>;
       { p.finalize(out, t_len) };
       { p.readout() } -> std::convertible_to<const OutputLayer*>;
     };
@@ -109,8 +116,8 @@ class FloatDatapath {
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
   /// Exact rounding on the active backend.
-  [[nodiscard]] DprrAccumulator make_accumulator() const {
-    return DprrAccumulator(nodes());
+  [[nodiscard]] simd::DprrBlockFn dprr_block() const {
+    return simd::active_kernels().dprr_block_exact;
   }
   void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
@@ -145,8 +152,8 @@ class QuantizedDatapath {
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
   /// Exact rounding on the active backend.
-  [[nodiscard]] DprrAccumulator make_accumulator() const {
-    return DprrAccumulator(nodes());
+  [[nodiscard]] simd::DprrBlockFn dprr_block() const {
+    return simd::active_kernels().dprr_block_exact;
   }
   void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
@@ -164,8 +171,8 @@ class QuantizedDatapath {
 };
 
 /// Float datapath over runtime-dispatched SIMD kernels, for one series at a
-/// time (BasicEngine) and for up to simd::kBatchedMaxLanes series in
-/// lockstep (BatchedEngine, ForwardLanes). Executes the same pipeline as
+/// time (SeriesScratch) and for up to simd::kBatchedMaxLanes series in
+/// lockstep (BatchedScratch, ForwardLanes). Executes the same pipeline as
 /// FloatDatapath with the vectorizable stages (masked-input preadd,
 /// nonlinearity) routed through serve/simd_kernels.hpp, the serialized
 /// B-chain as a scalar pass, and the DPRR on its backend's FMA-rounded block
@@ -215,8 +222,9 @@ class SimdFloatDatapath {
   /// over all nodes()*lanes values, then the cross-lane B-chain.
   void step_soa(const double* j, const double* x_prev, double* x_out,
                 std::size_t lanes) const;
-  [[nodiscard]] DprrAccumulator make_accumulator() const {
-    return DprrAccumulator(nodes(), kDprrRounding, backend());
+  /// The block kernel of kDprrRounding on backend().
+  [[nodiscard]] simd::DprrBlockFn dprr_block() const noexcept {
+    return kernels_->dprr_block;
   }
   /// Time-averages any number of whole DPRR vectors laid end to end.
   void finalize(std::span<double> r, std::size_t t_len) const;
@@ -236,7 +244,7 @@ class SimdFloatDatapath {
 };
 
 /// Calibrated fixed-point datapath over runtime-dispatched SIMD kernels, for
-/// one series (BasicEngine) or a batch in lockstep (BatchedEngine).
+/// one series (SeriesScratch) or a batch in lockstep (BatchedScratch).
 /// Executes the same pipeline as QuantizedDatapath with the vectorizable
 /// stages (masked-input round-to-format, quantized preadd + nonlinearity,
 /// feature scale+quantize, and the exact DPRR block) routed through
@@ -278,8 +286,9 @@ class SimdQuantizedDatapath {
   /// step() over SoA blocks of `lanes` series.
   void step_soa(const double* j, const double* x_prev, double* x_out,
                 std::size_t lanes) const;
-  [[nodiscard]] DprrAccumulator make_accumulator() const {
-    return DprrAccumulator(nodes(), kDprrRounding, backend());
+  /// The block kernel of kDprrRounding on backend().
+  [[nodiscard]] simd::DprrBlockFn dprr_block() const noexcept {
+    return kernels_->dprr_block_exact;
   }
   /// Scales and quantizes any number of whole DPRR vectors laid end to end.
   void finalize(std::span<double> r, std::size_t t_len) const;
@@ -298,32 +307,34 @@ class SimdQuantizedDatapath {
   const OutputLayer* readout_;
 };
 
-/// Cross-request batched engine over a SIMD datapath: runs one series per
-/// lane, up to `max_lanes` lanes per call. Each time step runs the
-/// datapath's SoA stages over every lane at once (serve/soa_step.hpp); then
-/// each lane's x(k-1), x(k) pair is gathered into one shared 2 x Nx scratch
-/// and accumulated into that lane's own DPRR row by the datapath's block
-/// kernel, one step per call: the operations the single-series engine's
-/// ring runs, so every lane is bit-identical to BasicEngine over the same
-/// datapath. All scratch (SoA state blocks, the pair, the per-lane DPRR
-/// rows and logits) is preallocated for `max_lanes` at construction, so
-/// infer() performs zero heap allocations in steady state regardless of the
-/// batch size actually submitted. Lanes are independent: lane l's results
-/// depend only on series[l] (asserted by test_batched.cpp against varying
-/// batchmates). One engine per worker; not thread-safe.
+/// The cross-request pipeline's mutable state for up to `max_lanes`
+/// series in lockstep, one per lane, holding no model: every infer() takes
+/// the SIMD datapath to run. Each time step runs the datapath's SoA stages
+/// over every lane at once (serve/soa_step.hpp); then each lane's x(k-1),
+/// x(k) pair is gathered into one shared 2 x Nx scratch and accumulated into
+/// that lane's own DPRR row by the datapath's block kernel, one step per
+/// call: the operations the single-series ring runs, so every lane is
+/// bit-identical to SeriesScratch over the same datapath. Buffers (SoA
+/// state blocks, the pair, the per-lane DPRR rows and logits) are sized for
+/// `max_lanes` from the datapath in hand and grow only past the largest
+/// model served, so infer() performs zero heap allocations in steady state
+/// whatever the batch size or model. Lanes are independent: lane l's
+/// results depend only on series[l] (asserted by test_batched.cpp against
+/// varying batchmates). Not thread-safe.
 template <typename P>
-class BatchedEngine {
+class BatchedScratch {
  public:
-  /// `max_lanes` in [1, simd::kBatchedMaxLanes].
-  BatchedEngine(P datapath, std::size_t max_lanes);
+  /// `max_lanes` in [1, simd::kBatchedMaxLanes]. Allocates nothing: the
+  /// first infer() sizes the buffers.
+  explicit BatchedScratch(std::size_t max_lanes);
 
-  /// Run series[l] through lane l. All pointers must be non-null and every
-  /// series must share one (rows, cols) shape with cols == channels()
-  /// (the server's micro-batcher only coalesces same-shape requests).
-  /// Throws CheckError otherwise. Results are read per lane via
-  /// lane_logits/lane_label/lane_features and stay valid until the next
-  /// infer() call.
-  void infer(std::span<const Matrix* const> series);
+  /// Run series[l] through lane l of `datapath`. All pointers must be
+  /// non-null and every series must share one (rows, cols) shape with
+  /// cols == channels() (the server's micro-batcher only coalesces
+  /// same-shape requests). Throws CheckError otherwise. Results are read
+  /// per lane via lane_logits/lane_label/lane_features and stay valid until
+  /// the next infer() call.
+  void infer(const P& datapath, std::span<const Matrix* const> series);
 
   /// Lane l's logits from the last infer() (lane < that call's batch size).
   [[nodiscard]] std::span<const double> lane_logits(std::size_t lane) const;
@@ -335,25 +346,58 @@ class BatchedEngine {
   [[nodiscard]] std::span<const double> lane_features(std::size_t lane) const;
 
   [[nodiscard]] std::size_t max_lanes() const noexcept { return max_lanes_; }
+
+ private:
+  std::size_t max_lanes_;
+  std::size_t batch_size_ = 0;  // lanes used by the last infer()
+  std::size_t dim_ = 0;         // the last infer()'s dprr_dim(Nx)
+  std::size_t classes_ = 0;     // the last infer()'s Ny
+  SoaStep step_;       // SoA input, masked-input and state blocks
+  Vector pair_;        // one lane's x(k-1), x(k): 2 x Nx
+  Vector r_;           // lane l's DPRR at [l, l+1) * dim_
+  Vector logits_;      // lane l's logits at [l, l+1) * classes_
+  std::vector<int> labels_;  // per-lane argmax
+};
+
+/// Cross-request batched engine: one SIMD datapath paired with one
+/// BatchedScratch, so it runs exactly what a server worker runs for a
+/// micro-batch. One engine per worker; not thread-safe.
+template <typename P>
+class BatchedEngine {
+ public:
+  /// `max_lanes` in [1, simd::kBatchedMaxLanes].
+  BatchedEngine(P datapath, std::size_t max_lanes)
+      : datapath_(std::move(datapath)), scratch_(max_lanes) {}
+
+  /// BatchedScratch::infer over this engine's datapath.
+  void infer(std::span<const Matrix* const> series) {
+    scratch_.infer(datapath_, series);
+  }
+  [[nodiscard]] std::span<const double> lane_logits(std::size_t lane) const {
+    return scratch_.lane_logits(lane);
+  }
+  [[nodiscard]] int lane_label(std::size_t lane) const {
+    return scratch_.lane_label(lane);
+  }
+  [[nodiscard]] std::span<const double> lane_features(std::size_t lane) const {
+    return scratch_.lane_features(lane);
+  }
+
+  [[nodiscard]] std::size_t max_lanes() const noexcept {
+    return scratch_.max_lanes();
+  }
   [[nodiscard]] const P& datapath() const noexcept { return datapath_; }
 
  private:
   P datapath_;
-  simd::DprrBlockFn dprr_block_;  // P::kDprrRounding on the datapath's backend
-  std::size_t max_lanes_;
-  std::size_t batch_size_ = 0;  // lanes used by the last infer()
-  SoaStep step_;       // SoA input, masked-input and state blocks
-  Vector pair_;        // one lane's x(k-1), x(k): 2 x Nx
-  Vector r_;           // lane l's DPRR at [l, l+1) * dprr_dim(Nx)
-  Vector logits_;      // per-lane logits, size Ny*max_lanes
-  std::vector<int> labels_;  // per-lane argmax, size max_lanes
+  BatchedScratch<P> scratch_;
 };
 
 using BatchedInferenceEngine = BatchedEngine<SimdFloatDatapath>;
 using BatchedQuantizedInferenceEngine = BatchedEngine<SimdQuantizedDatapath>;
 
-extern template class BatchedEngine<SimdFloatDatapath>;
-extern template class BatchedEngine<SimdQuantizedDatapath>;
+extern template class BatchedScratch<SimdFloatDatapath>;
+extern template class BatchedScratch<SimdQuantizedDatapath>;
 
 /// Batched float engine sharing ownership of an immutable artifact, on the
 /// active backend (or an explicit one; throws CheckError when unavailable).
@@ -367,20 +411,52 @@ extern template class BatchedEngine<SimdQuantizedDatapath>;
     std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes,
     simd::Backend backend = simd::active_backend());
 
-/// The streaming engine: owns all scratch, classifies with zero steady-state
-/// heap allocations. One engine per stream/worker; not thread-safe.
+/// The streaming pipeline's mutable state for one series at a time: the
+/// DPRR accumulator (whose ring each step writes into), the masked-input
+/// row, the finalized features and the logits. It holds no model: every
+/// call takes the datapath to run and sizes the buffers from it, growing
+/// them only past the largest model served, so one scratch serves any
+/// number of models and allocates nothing once it has served the largest.
+/// Not thread-safe.
+template <InferenceDatapath P>
+class SeriesScratch {
+ public:
+  /// Finalized feature vector (DPRR, time-averaged, datapath-scaled) of one
+  /// series (T x V) through `datapath`. The span aliases the scratch: valid
+  /// until the next call.
+  std::span<const double> features(const P& datapath, const Matrix& series);
+
+  /// Logits of one series through `datapath`; throws CheckError for a
+  /// features-only datapath. The span aliases the scratch.
+  std::span<const double> infer(const P& datapath, const Matrix& series);
+
+ private:
+  Vector j_;       // masked input row, size Nx
+  Vector r_;       // finalized features, size Nx*(Nx+1)
+  Vector logits_;  // size Ny
+  DprrAccumulator dprr_;  // owns the state ring each step writes into
+};
+
+/// The streaming engine: one datapath paired with one SeriesScratch, so it
+/// runs exactly what a server worker runs for a request. Classifies with
+/// zero steady-state heap allocations. One engine per stream/worker; not
+/// thread-safe.
 template <InferenceDatapath P>
 class BasicEngine {
  public:
-  explicit BasicEngine(P datapath);
+  explicit BasicEngine(P datapath) : datapath_(std::move(datapath)) {}
 
   /// Finalized feature vector (DPRR, time-averaged, datapath-scaled) for one
   /// series (T x V). The span aliases engine scratch: valid until the next
   /// call on this engine.
-  std::span<const double> features(const Matrix& series);
+  std::span<const double> features(const Matrix& series) {
+    return scratch_.features(datapath_, series);
+  }
 
   /// Logits for one series. Span aliases engine scratch.
-  std::span<const double> infer(const Matrix& series);
+  std::span<const double> infer(const Matrix& series) {
+    return scratch_.infer(datapath_, series);
+  }
 
   /// Argmax class for one series. Zero heap allocations.
   int classify(const Matrix& series);
@@ -392,10 +468,7 @@ class BasicEngine {
 
  private:
   P datapath_;
-  Vector j_;       // masked input row, size Nx
-  Vector r_;       // finalized features, size Nx*(Nx+1)
-  Vector logits_;  // size Ny (empty for features-only datapaths)
-  DprrAccumulator dprr_;  // owns the state ring each step writes into
+  SeriesScratch<P> scratch_;
 };
 
 using InferenceEngine = BasicEngine<FloatDatapath>;
@@ -403,6 +476,10 @@ using QuantizedInferenceEngine = BasicEngine<QuantizedDatapath>;
 using SimdInferenceEngine = BasicEngine<SimdFloatDatapath>;
 using SimdQuantizedInferenceEngine = BasicEngine<SimdQuantizedDatapath>;
 
+extern template class SeriesScratch<FloatDatapath>;
+extern template class SeriesScratch<QuantizedDatapath>;
+extern template class SeriesScratch<SimdFloatDatapath>;
+extern template class SeriesScratch<SimdQuantizedDatapath>;
 extern template class BasicEngine<FloatDatapath>;
 extern template class BasicEngine<QuantizedDatapath>;
 extern template class BasicEngine<SimdFloatDatapath>;

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <utility>
 
+#include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -77,6 +78,36 @@ struct InferenceServer::Slot {
   ModelArtifactPtr pinned;
 };
 
+/// One worker's engine scratch: per numeric family, a single-series scratch
+/// and a batched one for max_batch lanes. Each is sized by the first model
+/// it serves and grows only past the largest; none holds a model. run()
+/// builds the request's datapath on the stack, so the model's life is the
+/// call's.
+struct InferenceServer::WorkerScratch {
+  explicit WorkerScratch(std::size_t max_batch)
+      : float_lanes(max_batch), quantized_lanes(max_batch) {}
+
+  /// body(datapath, series_scratch, batched_scratch) on `artifact`'s
+  /// `variant`: kFloat its float weights, kQuantized its fixed-point twin
+  /// (CheckError when it carries none), on the active backend. Takes the
+  /// caller's reference: the model is released when the call returns.
+  template <typename Body>
+  void run(ModelArtifactPtr artifact, EngineVariant variant,
+           const Body& body) {
+    if (variant == EngineVariant::kQuantized) {
+      body(SimdQuantizedDatapath(quantized_twin(artifact)), quantized_series,
+           quantized_lanes);
+    } else {
+      body(SimdFloatDatapath(std::move(artifact)), float_series, float_lanes);
+    }
+  }
+
+  SeriesScratch<SimdFloatDatapath> float_series;
+  SeriesScratch<SimdQuantizedDatapath> quantized_series;
+  BatchedScratch<SimdFloatDatapath> float_lanes;
+  BatchedScratch<SimdQuantizedDatapath> quantized_lanes;
+};
+
 /// Per-model counters plus a fixed-size recent-latency ring.
 struct InferenceServer::StatsEntry {
   std::uint64_t completed = 0;
@@ -136,8 +167,7 @@ const InferResult& InferFuture::get() const {
 InferenceServer::InferenceServer(ModelRegistry& registry, ServerConfig config)
     : registry_(&registry),
       config_(config),
-      workers_(config.workers == 0 ? hardware_threads() : config.workers),
-      pool_(workers_ == 0 ? 1 : workers_) {
+      workers_(config.workers == 0 ? hardware_threads() : config.workers) {
   DFR_CHECK_MSG(config_.queue_capacity > 0,
                 "queue capacity must be positive");
   // Micro-batch knobs fail loudly at construction instead of being clamped:
@@ -164,36 +194,18 @@ InferenceServer::InferenceServer(ModelRegistry& registry, ServerConfig config)
   for (std::size_t i = config_.queue_capacity; i-- > 0;) free_.push_back(i);
 
   // Private worker pool: the dispatcher thread participates in the job, so
-  // `workers_` loops run concurrently, each pinned to one engine-pool slot.
+  // `workers_` loops run concurrently, each with its own engine scratch.
   // The process-global pool stays free for classify_batch / training sweeps.
   thread_pool_ = std::make_unique<ThreadPool>(
       workers_ > 1 ? static_cast<unsigned>(workers_ - 1) : 0);
-  // Prompt engine reclaim for evicted models: the pool notes the id and
-  // each worker drops its cached engines at its next request. Subscribed
-  // after every other throwing setup step — a half-constructed server whose
-  // destructor never runs must not leave a dangling listener capturing
-  // `this` in the long-lived registry — and unwound by hand if the
-  // dispatcher thread itself fails to start.
-  eviction_token_ = registry_->subscribe_evictions(
-      [this](std::string_view id) { pool_.note_eviction(id); });
-  try {
-    dispatcher_ = std::thread([this] {
-      thread_pool_->for_each_index(
-          workers_, [this](std::size_t w) { worker_loop(w); },
-          {.threads = static_cast<unsigned>(workers_)});
-    });
-  } catch (...) {
-    registry_->unsubscribe_evictions(eviction_token_);
-    throw;
-  }
+  dispatcher_ = std::thread([this] {
+    thread_pool_->for_each_index(
+        workers_, [this](std::size_t) { worker_loop(); },
+        {.threads = static_cast<unsigned>(workers_)});
+  });
 }
 
-InferenceServer::~InferenceServer() {
-  shutdown();
-  // After shutdown no worker touches the pool again; drop the subscription
-  // so the registry never calls into a destroyed server.
-  registry_->unsubscribe_evictions(eviction_token_);
-}
+InferenceServer::~InferenceServer() { shutdown(); }
 
 void InferenceServer::shutdown() {
   {
@@ -287,9 +299,10 @@ bool past_deadline(std::uint64_t deadline_us, const Timer& timer) noexcept {
 
 }  // namespace
 
-void InferenceServer::worker_loop(std::size_t worker) {
+void InferenceServer::worker_loop() {
   // Reused across iterations (reserve once: the batch path allocates
   // nothing per request).
+  WorkerScratch scratch(config_.max_batch);
   std::vector<std::size_t> batch;
   batch.reserve(config_.max_batch);
   std::vector<std::size_t> doomed;
@@ -331,11 +344,7 @@ void InferenceServer::worker_loop(std::size_t worker) {
       if (pending_count_ == 0) {
         // Everything pending was doomed or abandoned; shed outside the lock.
         lock.unlock();
-        for (const std::size_t index : doomed) {
-          shed_slot(index,
-                    registry_->get(slots_[index]->model_id) != nullptr ||
-                        slots_[index]->pinned != nullptr);
-        }
+        for (const std::size_t index : doomed) shed_slot(index);
         continue;
       }
       // Priority-aware dequeue: take the first occurrence of the highest
@@ -381,14 +390,11 @@ void InferenceServer::worker_loop(std::size_t worker) {
       // another worker rather than leaving them for our next iteration.
       if (pending_count_ > 0) work_cv_.notify_one();
     }
-    for (const std::size_t index : doomed) {
-      shed_slot(index, registry_->get(slots_[index]->model_id) != nullptr ||
-                           slots_[index]->pinned != nullptr);
-    }
+    for (const std::size_t index : doomed) shed_slot(index);
     if (batch.size() == 1) {
-      process(worker, batch[0]);  // singleton fast path: unbatched datapath
+      process(scratch, batch[0]);  // singleton fast path: unbatched datapath
     } else {
-      process_batch(worker, batch);
+      process_batch(scratch, batch);
     }
   }
 }
@@ -480,15 +486,18 @@ void InferenceServer::note_service_time(std::uint64_t ns) {
 }
 
 /// Resolve `slot` as shed (kDeadlineExceeded) without executing it. The
-/// caller must NOT hold mutex_; `registered` feeds the stats-slot policy
-/// exactly like the normal outcome path.
-void InferenceServer::shed_slot(std::size_t slot_index, bool registered) {
+/// caller must NOT hold mutex_. Whether the id resolves (in the registry,
+/// or through the admission pin) feeds the stats-slot policy exactly like
+/// the normal outcome path.
+void InferenceServer::shed_slot(std::size_t slot_index) {
   Slot& slot = *slots_[slot_index];
   InferResult& result = slot.result;
   result.status = RequestStatus::kDeadlineExceeded;
   result.label = -1;
   result.logits.clear();  // keeps capacity: no allocation
   result.latency_us = static_cast<double>(slot.timer.elapsed_ns()) * 1e-3;
+  const bool registered =
+      slot.pinned != nullptr || registry_->get(slot.model_id) != nullptr;
   record_outcome(slot.model_id, result, registered);
   slot.pinned.reset();  // a parked slot must not extend the artifact's life
   {
@@ -498,26 +507,24 @@ void InferenceServer::shed_slot(std::size_t slot_index, bool registered) {
   done_cv_.notify_all();
 }
 
-void InferenceServer::process_batch(std::size_t worker,
+void InferenceServer::process_batch(WorkerScratch& scratch,
                                     const std::vector<std::size_t>& batch) {
   // Deadline shedding first: lanes whose budget ran out while queued (or
   // while the batch window was open) resolve as kDeadlineExceeded without
-  // costing a vector lane. Registry state is only consulted when a shed
-  // lane needs the stats-slot policy answer.
+  // costing a vector lane.
   std::array<std::size_t, simd::kBatchedMaxLanes> live;
   std::size_t lanes = 0;
   for (const std::size_t index : batch) {
-    Slot& slot = *slots_[index];
-    if (past_deadline(slot.options.deadline_us, slot.timer)) {
-      shed_slot(index, registry_->get(slot.model_id) != nullptr ||
-                           slot.pinned != nullptr);
+    if (past_deadline(slots_[index]->options.deadline_us,
+                      slots_[index]->timer)) {
+      shed_slot(index);
     } else {
       live[lanes++] = index;
     }
   }
   if (lanes == 0) return;
   if (lanes == 1) {
-    process(worker, live[0]);  // engine fast path for a fully-shed batch
+    process(scratch, live[0]);  // single-series path for a one-lane batch
     return;
   }
   std::array<const Matrix*, simd::kBatchedMaxLanes> series;
@@ -538,24 +545,32 @@ void InferenceServer::process_batch(std::size_t worker,
   // unbatched path.
   ModelArtifactPtr artifact = registry_->get(head.model_id);
   if (artifact == nullptr) artifact = head.pinned;
-  if (artifact == nullptr) {
+  const bool registered = artifact != nullptr;
+  if (!registered) {
     for (std::size_t l = 0; l < lanes; ++l) {
       slots_[live[l]]->result.status = RequestStatus::kUnknownModel;
     }
   } else {
     try {
-      PooledBatchedEngine& engine = pool_.batched_engine_for(
-          worker, artifact, head.options.engine, config_.max_batch);
+      // run() takes the reference, so nothing holds the model once a lane
+      // reads ready: an evicted model is freed as soon as its last request
+      // resolves.
       Timer service_timer;
-      engine.infer(std::span<const Matrix* const>(series.data(), lanes));
-      note_service_time(service_timer.elapsed_ns() / lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        InferResult& result = slots_[live[l]]->result;
-        const std::span<const double> logits = engine.lane_logits(l);
-        result.logits.assign(logits.begin(), logits.end());
-        result.label = engine.lane_label(l);
-        result.status = RequestStatus::kOk;
-      }
+      scratch.run(std::move(artifact), head.options.engine,
+                  [&](const auto& datapath, auto&, auto& lane_scratch) {
+                    lane_scratch.infer(datapath,
+                                       std::span<const Matrix* const>(
+                                           series.data(), lanes));
+                    note_service_time(service_timer.elapsed_ns() / lanes);
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                      InferResult& result = slots_[live[l]]->result;
+                      const std::span<const double> logits =
+                          lane_scratch.lane_logits(l);
+                      result.logits.assign(logits.begin(), logits.end());
+                      result.label = lane_scratch.lane_label(l);
+                      result.status = RequestStatus::kOk;
+                    }
+                  });
     } catch (const CheckError&) {  // engine rejected the batch: client error
       for (std::size_t l = 0; l < lanes; ++l) {
         InferResult& result = slots_[live[l]]->result;
@@ -577,8 +592,7 @@ void InferenceServer::process_batch(std::size_t worker,
   for (std::size_t l = 0; l < lanes; ++l) {
     Slot& slot = *slots_[live[l]];
     slot.result.latency_us = static_cast<double>(slot.timer.elapsed_ns()) * 1e-3;
-    record_outcome(slot.model_id, slot.result,
-                   /*id_is_registered=*/artifact != nullptr);
+    record_outcome(slot.model_id, slot.result, registered);
     slot.pinned.reset();
   }
   {
@@ -590,8 +604,15 @@ void InferenceServer::process_batch(std::size_t worker,
   done_cv_.notify_all();
 }
 
-void InferenceServer::process(std::size_t worker, std::size_t slot_index) {
+void InferenceServer::process(WorkerScratch& scratch, std::size_t slot_index) {
   Slot& slot = *slots_[slot_index];
+  // Deadline shedding before any engine work: a request that is already
+  // late resolves typed instead of burning engine time serving an answer
+  // nobody is waiting for.
+  if (past_deadline(slot.options.deadline_us, slot.timer)) {
+    shed_slot(slot_index);
+    return;
+  }
   InferResult& result = slot.result;
   result.label = -1;
   result.logits.clear();  // keeps capacity: no allocation in steady state
@@ -603,26 +624,25 @@ void InferenceServer::process(std::size_t worker, std::size_t slot_index) {
   // the request sat queued must not unregister an accepted request.
   ModelArtifactPtr artifact = registry_->get(slot.model_id);
   if (artifact == nullptr) artifact = slot.pinned;
-  // Deadline shedding before any engine work: a request that is already
-  // late resolves typed instead of burning engine time serving an answer
-  // nobody is waiting for.
-  if (past_deadline(slot.options.deadline_us, slot.timer)) {
-    shed_slot(slot_index, /*registered=*/artifact != nullptr);
-    return;
-  }
-  if (artifact == nullptr) {
+  const bool registered = artifact != nullptr;
+  if (!registered) {
     result.status = RequestStatus::kUnknownModel;
   } else {
     try {
       // The variant resolves against the artifact per request, like the
       // id: kQuantized routes to the artifact's fixed-point twin
       // (kInvalidArgument via CheckError when the artifact carries none).
-      PooledEngine& engine =
-          pool_.engine_for(worker, artifact, slot.options.engine);
+      // run() takes the reference, so nothing holds the model once the
+      // request reads ready: an evicted model is freed as soon as its last
+      // request resolves.
       Timer service_timer;
-      const std::span<const double> logits = engine.infer(*slot.series);
-      note_service_time(service_timer.elapsed_ns());
-      result.logits.assign(logits.begin(), logits.end());
+      scratch.run(std::move(artifact), slot.options.engine,
+                  [&](const auto& datapath, auto& series_scratch, auto&) {
+                    const std::span<const double> logits =
+                        series_scratch.infer(datapath, *slot.series);
+                    note_service_time(service_timer.elapsed_ns());
+                    result.logits.assign(logits.begin(), logits.end());
+                  });
       result.label = static_cast<int>(
           std::max_element(result.logits.begin(), result.logits.end()) -
           result.logits.begin());
@@ -640,7 +660,7 @@ void InferenceServer::process(std::size_t worker, std::size_t slot_index) {
     }
   }
   result.latency_us = static_cast<double>(slot.timer.elapsed_ns()) * 1e-3;
-  record_outcome(slot.model_id, result, /*id_is_registered=*/artifact != nullptr);
+  record_outcome(slot.model_id, result, registered);
   slot.pinned.reset();
 
   {

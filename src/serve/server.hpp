@@ -1,10 +1,10 @@
 #pragma once
-// InferenceServer: the request-queue front end over the multi-model engine
-// pool — the serving shape the paper's O(Nx) streaming claim is for.
+// InferenceServer: the request-queue front end over the model registry —
+// the serving shape the paper's O(Nx) streaming claim is for.
 //
 //   clients --submit(model_id, series)--> bounded MPMC queue
-//       --> worker threads (util/parallel.hpp pool, one engine-pool slot
-//           each) --> per-model routing through ModelRegistry + EnginePool
+//       --> worker threads (util/parallel.hpp pool, each owning its engine
+//           scratch) --> per-request routing through ModelRegistry
 //       --> InferFuture resolves with logits/label/latency
 //
 // Design points:
@@ -19,22 +19,30 @@
 //
 //  * Zero heap allocations per request in steady state. Request slots (the
 //    id string, the series pointer, and the result's logits storage) are
-//    preallocated at construction and recycled through a free list; the
-//    worker-side engines come from the EnginePool cache; InferFuture is a
-//    plain slot handle. This is why submit() returns InferFuture rather
-//    than std::future — std::promise heap-allocates its shared state on
-//    every request. test_server.cpp instruments operator new to pin this.
+//    preallocated at construction and recycled through a free list; each
+//    worker owns one single-series and one batched engine scratch per
+//    numeric family (serve/engine.hpp SeriesScratch, BatchedScratch),
+//    sized on first use and grown only past the largest model served;
+//    InferFuture is a plain slot handle. This is why submit() returns
+//    InferFuture rather than std::future — std::promise heap-allocates its
+//    shared state on every request. test_server.cpp instruments operator
+//    new to pin this, unbatched and micro-batched.
 //
-//  * Hot-swap safe. Workers resolve the model id against the registry per
-//    request; an artifact re-registered mid-traffic serves new requests
-//    while in-flight ones finish on the artifact they were routed to
-//    (shared ownership, see model_io.hpp). Requests never cross-route.
+//  * Model per request. A worker resolves the model id against the
+//    registry per request (per micro-batch), builds that artifact's SIMD
+//    datapath on its stack, runs it over the worker's scratch, and drops
+//    every reference to the artifact before the request reads ready. So
+//    nothing in the server outlives a request's hold on its model: an
+//    artifact re-registered mid-traffic serves new requests while in-flight
+//    ones finish on the artifact they were routed to (shared ownership,
+//    see model_io.hpp), and an evicted one is freed as soon as its last
+//    request resolves. Requests never cross-route.
 //
 //  * Opportunistic micro-batching (ServerConfig::max_batch > 1). A worker
 //    that dequeues a request claims already-queued requests for the same
 //    (model id, engine variant, series shape), waits up to
 //    ServerConfig::batch_window_us for more matching arrivals, and runs the
-//    coalesced set as ONE cross-request SoA inference (BatchedEngine: one
+//    coalesced set as ONE cross-request SoA inference (BatchedScratch: one
 //    request per vector lane, so the serialized B-chain vectorizes across
 //    requests). Each lane's result routes back to its own InferFuture;
 //    singleton traffic falls back to the per-request path. The batch is
@@ -62,8 +70,8 @@
 // Threading: submit()/stats() are safe from any number of client threads.
 // The worker loops run on a private util/parallel.hpp ThreadPool (the
 // process-global pool stays free for classify_batch and training sweeps);
-// each worker owns one EnginePool slot, which keeps engine scratch
-// unshared without locking around inference.
+// each worker owns its engine scratch, which keeps it unshared without
+// locking around inference.
 
 #include <atomic>
 #include <condition_variable>
@@ -115,7 +123,7 @@ struct InferResult {
 };
 
 struct ServerConfig {
-  /// Serving threads; each owns one engine-pool slot. 0 = hardware_threads().
+  /// Serving threads; each owns its engine scratch. 0 = hardware_threads().
   std::size_t workers = 1;
   /// Bound on requests that are pending, executing, or holding uncollected
   /// results at once; submissions beyond it are rejected with kQueueFull.
@@ -131,7 +139,7 @@ struct ServerConfig {
   /// Opportunistic micro-batching: a worker that dequeues a request
   /// coalesces up to `max_batch` already-queued requests for the same
   /// (model id, engine variant, series shape) into one cross-request SoA
-  /// inference (serve/engine.hpp BatchedEngine), routing each lane's result
+  /// inference (serve/engine.hpp BatchedScratch), routing each lane's result
   /// to its own InferFuture. 1 (the default) disables batching — every
   /// request takes the single-series path. Validated at construction:
   /// must be in [1, simd::kBatchedMaxLanes], and `batch_window_us` must be
@@ -319,9 +327,11 @@ class InferenceServer {
   friend class InferFuture;
   struct Slot;
   struct StatsEntry;
+  struct WorkerScratch;
 
-  void worker_loop(std::size_t worker);
-  void process(std::size_t worker, std::size_t slot_index);
+  void worker_loop();
+  /// Serve one request over the worker's scratch.
+  void process(WorkerScratch& scratch, std::size_t slot_index);
   /// Under mutex_: claim queued requests matching the batch head (same
   /// model id, engine variant, and series shape) into `batch`, compacting
   /// the pending ring and freeing abandoned slots along the way.
@@ -330,15 +340,15 @@ class InferenceServer {
   /// out the batch window for more matching arrivals.
   void collect_batch(std::unique_lock<std::mutex>& lock,
                      std::vector<std::size_t>& batch);
-  /// Run one coalesced batch through the pooled batched engine, fanning the
+  /// Run one coalesced batch over the worker's batched scratch, fanning the
   /// per-lane results (or a shared error) to every slot.
-  void process_batch(std::size_t worker,
+  void process_batch(WorkerScratch& scratch,
                      const std::vector<std::size_t>& batch);
   void release_slot(std::size_t slot_index);
   /// Resolve a dequeued-but-late request as kDeadlineExceeded without
   /// executing it (counted in the per-model `shed` stat). Caller must not
   /// hold mutex_.
-  void shed_slot(std::size_t slot_index, bool registered);
+  void shed_slot(std::size_t slot_index);
   void record_outcome(std::string_view model_id, const InferResult& result,
                       bool id_is_registered);
   void record_rejection(std::string_view model_id);
@@ -360,7 +370,6 @@ class InferenceServer {
   ModelRegistry* registry_;
   ServerConfig config_;
   std::size_t workers_ = 1;
-  std::uint64_t eviction_token_ = 0;  // registry eviction subscription
 
   // Request slots + bounded pending ring + free list; see server.cpp.
   mutable std::mutex mutex_;
@@ -384,7 +393,6 @@ class InferenceServer {
       stats_;
   std::uint64_t dropped_stats_ = 0;  // guarded by stats_mutex_
 
-  EnginePool pool_;
   std::unique_ptr<ThreadPool> thread_pool_;  // private; not the global pool
   std::thread dispatcher_;  // runs for_each_index(workers, worker_loop)
 };

@@ -13,7 +13,8 @@
 // steps straight into its SoA ring of recent states, whose time blocks run
 // through the lane DPRR kernel as they are; the batched engine gathers each
 // lane's states out of its own pair into that lane's DPRR. Storage is
-// allocated at construction; nothing after it allocates.
+// allocated at construction, or by resize() when a shape outgrows it;
+// nothing else allocates.
 
 #include <algorithm>
 #include <span>
@@ -25,13 +26,25 @@ namespace dfr {
 
 class SoaStep {
  public:
-  SoaStep(std::size_t nx, std::size_t channels, std::size_t max_lanes)
-      : nx_(nx),
-        channels_(channels),
-        u_(channels * max_lanes, 0.0),
-        j_(nx * max_lanes, 0.0),
-        x_prev_(nx * max_lanes, 0.0),
-        x_(nx * max_lanes, 0.0) {}
+  /// Empty: resize() sizes it before its first step.
+  SoaStep() = default;
+
+  SoaStep(std::size_t nx, std::size_t channels, std::size_t max_lanes) {
+    resize(nx, channels, max_lanes);
+  }
+
+  /// Blocks for up to `max_lanes` series of `nx` nodes and `channels`
+  /// inputs. They grow only past the largest shape they held, so one
+  /// SoaStep serves models of several shapes and stops allocating once it
+  /// has served the largest.
+  void resize(std::size_t nx, std::size_t channels, std::size_t max_lanes) {
+    nx_ = nx;
+    channels_ = channels;
+    u_.resize(channels * max_lanes);
+    j_.resize(nx * max_lanes);
+    x_prev_.resize(nx * max_lanes);
+    x_.resize(nx * max_lanes);
+  }
 
   /// x(0) = 0 in each of the first `lanes` lanes of the own state pair.
   void start(std::size_t lanes) noexcept {
@@ -76,8 +89,8 @@ class SoaStep {
   }
 
  private:
-  std::size_t nx_;
-  std::size_t channels_;
+  std::size_t nx_ = 0;
+  std::size_t channels_ = 0;
   Vector u_;       // raw inputs, channels x lanes
   Vector j_;       // masked inputs, nx x lanes
   Vector x_prev_;  // x(k-1), nx x lanes

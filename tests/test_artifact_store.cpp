@@ -437,8 +437,8 @@ TEST_F(ArtifactStoreTest, ExportStatsScrapeableFormat) {
 
 TEST_F(ArtifactStoreTest, EvictionUnderTrafficRefaultsTransparently) {
   // Two models ping-pong under a cap that fits only one: every switch
-  // evicts the other through the registry (engine pool reclaim path), and
-  // the next get refaults it. Every request must complete kOk.
+  // evicts the other through the registry, and the next get refaults it.
+  // Every request must complete kOk.
   const std::string path_b = temp_path("dfr_store_pingpong_b");
   save_as(make_model(kNodes, 2, 3, 22), path_b, 2);
   const std::size_t file_bytes =

@@ -1,11 +1,12 @@
 // Tests for the multi-model serving subsystem (serve/registry.hpp,
-// serve/server.hpp): registry register/get/evict/hot-swap semantics, engine
-// pool caching and swap detection, request routing correctness (bit-identical
-// logits vs direct single-threaded LoadedModel::infer at every worker count,
-// and pooled engines vs direct ones on every SIMD backend), hot-swap under
-// concurrent traffic, backpressure,
-// shutdown draining, per-model stats, and the zero-steady-state-allocation
-// guarantee of the submit path.
+// serve/server.hpp): registry register/get/evict/hot-swap semantics, request
+// routing correctness (bit-identical logits vs direct single-threaded
+// LoadedModel::infer at every worker count, and server results vs direct
+// engines on every SIMD backend), hot-swap under concurrent traffic, model
+// lifetime (an evicted model is freed once its last request resolves),
+// backpressure, shutdown draining, per-model stats, and the
+// zero-steady-state-allocation guarantee of the submit path, unbatched and
+// micro-batched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,13 +46,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace dfr {
 namespace {
 
-using serve::EnginePool;
 using serve::EngineVariant;
 using serve::InferenceServer;
 using serve::InferFuture;
 using serve::InferResult;
 using serve::ModelRegistry;
-using serve::PooledEngine;
 using serve::RequestStatus;
 using serve::ServerConfig;
 
@@ -132,11 +131,9 @@ TEST(ModelRegistry, ReRegisterHotSwapsAtomically) {
   const ModelArtifactPtr v2 = make_model(8, 2, 3, 2).artifact("m");
   registry.register_model(v1);
   EXPECT_EQ(registry.get("m"), v1);
-  const std::uint64_t version_before = registry.version();
   registry.register_model(v2);
   EXPECT_EQ(registry.get("m"), v2);
   EXPECT_EQ(registry.size(), 1u);
-  EXPECT_GT(registry.version(), version_before);
 }
 
 TEST(ModelRegistry, RejectsAnonymousOrNullArtifacts) {
@@ -144,152 +141,6 @@ TEST(ModelRegistry, RejectsAnonymousOrNullArtifacts) {
   EXPECT_THROW(registry.register_model(nullptr), CheckError);
   EXPECT_THROW(registry.register_model(make_model(4, 1, 2, 3).artifact()),
                CheckError);
-}
-
-// ---- EnginePool ------------------------------------------------------------
-
-TEST(EnginePoolTest, CachesPerArtifactAndKindAndRebuildsOnSwap) {
-  const ModelArtifactPtr v1 = artifact_with_twin(make_model(10, 2, 3, 5), "m");
-  const ModelArtifactPtr v2 = make_model(10, 2, 3, 6).artifact("m");
-  EnginePool pool(2);
-
-  PooledEngine& float_engine = pool.engine_for(0, v1, EngineVariant::kFloat);
-  EXPECT_EQ(float_engine.artifact(), v1);
-  EXPECT_EQ(float_engine.variant(), EngineVariant::kFloat);
-  // Cache hit: same entry for the same routing triple.
-  EXPECT_EQ(&pool.engine_for(0, v1, EngineVariant::kFloat), &float_engine);
-  // Distinct variant and distinct worker slot get distinct engines.
-  PooledEngine& quant = pool.engine_for(0, v1, EngineVariant::kQuantized);
-  EXPECT_NE(&quant, &float_engine);
-  EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
-  EXPECT_NE(&pool.engine_for(1, v1, EngineVariant::kFloat), &float_engine);
-
-  // Hot-swap: same name, new artifact — rebuilt in place, same slot entry.
-  PooledEngine& swapped = pool.engine_for(0, v2, EngineVariant::kFloat);
-  EXPECT_EQ(&swapped, &float_engine);
-  EXPECT_EQ(swapped.artifact(), v2);
-}
-
-TEST(EnginePoolTest, AnonymousArtifactsGetDistinctStableEngines) {
-  // Empty names must not alias as a "hot-swap": two anonymous artifacts
-  // alternating on one worker keep two cached engines instead of thrashing
-  // one slot through rebuilds.
-  const ModelArtifactPtr anon1 = make_model(8, 2, 3, 21).artifact();
-  const ModelArtifactPtr anon2 = make_model(8, 2, 3, 22).artifact();
-  EnginePool pool(1);
-  PooledEngine& first = pool.engine_for(0, anon1, EngineVariant::kFloat);
-  PooledEngine& second = pool.engine_for(0, anon2, EngineVariant::kFloat);
-  EXPECT_NE(&first, &second);
-  EXPECT_EQ(first.artifact(), anon1);
-  EXPECT_EQ(second.artifact(), anon2);
-  EXPECT_EQ(&pool.engine_for(0, anon1, EngineVariant::kFloat), &first);
-  EXPECT_EQ(&pool.engine_for(0, anon2, EngineVariant::kFloat), &second);
-}
-
-TEST(EnginePoolTest, EvictionReclaimsCachedEnginesDeferred) {
-  EnginePool pool(2);
-  std::weak_ptr<const ModelArtifact> watch;
-  const ModelArtifactPtr other = make_model(8, 2, 3, 31).artifact("other");
-  {
-    const ModelArtifactPtr evictee =
-        artifact_with_twin(make_model(8, 2, 3, 30), "m");
-    watch = evictee;
-    // Build engines for the evictee on both worker slots (and one for a
-    // second model, which must survive the reclaim).
-    pool.engine_for(0, evictee, EngineVariant::kFloat);
-    pool.engine_for(0, evictee, EngineVariant::kQuantized);
-    pool.engine_for(1, evictee, EngineVariant::kFloat);
-    pool.engine_for(0, other, EngineVariant::kFloat);
-    pool.note_eviction("m");
-  }  // registry-side reference gone; only cached engines pin the artifact
-  EXPECT_FALSE(watch.expired()) << "engines should still pin the artifact";
-
-  // Worker 0 reclaims at its next engine_for; worker 1 has not run yet.
-  PooledEngine& survivor = pool.engine_for(0, other, EngineVariant::kFloat);
-  EXPECT_EQ(survivor.artifact(), other);
-  EXPECT_FALSE(watch.expired()) << "worker 1 still caches the evictee";
-  pool.engine_for(1, other, EngineVariant::kFloat);
-  EXPECT_TRUE(watch.expired())
-      << "eviction must reclaim cached engines once every worker caught up";
-}
-
-TEST(EnginePoolTest, EvictedThenReRegisteredModelRebuildsCleanly) {
-  // An eviction note for a name that was re-registered before the worker
-  // drained it must not break serving: the stale engine is dropped, the
-  // next request lazily rebuilds on the current artifact.
-  EnginePool pool(1);
-  const LoadedModel model = make_model(8, 2, 3, 33);
-  const ModelArtifactPtr v1 = model.artifact("m");
-  const ModelArtifactPtr v2 = model.artifact("m");
-  pool.engine_for(0, v1, EngineVariant::kFloat);
-  pool.note_eviction("m");
-  PooledEngine& rebuilt = pool.engine_for(0, v2, EngineVariant::kFloat);
-  EXPECT_EQ(rebuilt.artifact(), v2);
-  Rng rng(34);
-  const Matrix series = random_series(20, 2, rng);
-  expect_bit_identical(model.infer(series), rebuilt.infer(series),
-                       "rebuilt after eviction");
-}
-
-TEST(EnginePoolTest, QuantizedVariantsServeTheQuantizedTwin) {
-  const LoadedModel model = make_model(10, 2, 3, 41);
-  auto quantized = std::make_shared<const QuantizedDfr>(
-      model, QuantizedInferenceConfig{});
-  const ModelArtifactPtr artifact =
-      with_quantized(model.artifact("m"), quantized);
-  EnginePool pool(1);
-  Rng rng(42);
-  const Matrix series = random_series(25, 2, rng);
-
-  PooledEngine& quant = pool.engine_for(0, artifact, EngineVariant::kQuantized);
-  EXPECT_NE(&quant, &pool.engine_for(0, artifact, EngineVariant::kFloat));
-  EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
-  // The pooled SIMD quantized engine matches the direct scalar quantized
-  // engine bit for bit (the quantized SIMD exactness contract).
-  QuantizedInferenceEngine direct = make_engine(*quantized);
-  const Vector expected(direct.infer(series).begin(),
-                        direct.infer(series).end());
-  expect_bit_identical(expected, quant.infer(series), "quantized");
-  EXPECT_EQ(quant.classify(series), direct.classify(series));
-
-  // A float-only artifact throws the typed error for the quantized variant.
-  const ModelArtifactPtr bare = model.artifact("bare");
-  EXPECT_THROW((void)pool.engine_for(0, bare, EngineVariant::kQuantized),
-               CheckError);
-}
-
-TEST(EnginePoolTest, HotSwapDroppingTheQuantizedTwinReleasesTheStaleEngine) {
-  // Re-registering a model WITHOUT its quantized twin must not leave the
-  // pool's cached quantized engine (and the swapped-out artifact it pins)
-  // alive forever: the failed rebuild drops the stale entry, and the
-  // request still gets the typed error.
-  const LoadedModel model = make_model(10, 2, 3, 45);
-  EnginePool pool(1);
-  std::weak_ptr<const ModelArtifact> watch;
-  const ModelArtifactPtr bare = model.artifact("m");  // no twin
-  {
-    const ModelArtifactPtr with_twin = with_quantized(
-        model.artifact("m"), std::make_shared<const QuantizedDfr>(
-                                 model, QuantizedInferenceConfig{}));
-    watch = with_twin;
-    pool.engine_for(0, with_twin, EngineVariant::kQuantized);
-  }  // registry-side reference gone; only the cached engine pins v1
-  EXPECT_THROW((void)pool.engine_for(0, bare, EngineVariant::kQuantized),
-               CheckError);
-  EXPECT_TRUE(watch.expired())
-      << "failed hot-swap rebuild must release the stale engine";
-  // The error is per-request, not sticky: float serving still works, and a
-  // twin-carrying re-register serves quantized again.
-  Rng rng(46);
-  const Matrix series = random_series(20, 2, rng);
-  EXPECT_EQ(pool.engine_for(0, bare, EngineVariant::kFloat).classify(series),
-            model.classify(series));
-  const ModelArtifactPtr restored = with_quantized(
-      model.artifact("m"), std::make_shared<const QuantizedDfr>(
-                               model, QuantizedInferenceConfig{}));
-  PooledEngine& rebuilt =
-      pool.engine_for(0, restored, EngineVariant::kQuantized);
-  EXPECT_EQ(rebuilt.artifact(), restored);
 }
 
 TEST(WithQuantized, ValidatesShapeAndNullness) {
@@ -310,18 +161,23 @@ TEST(WithQuantized, ValidatesShapeAndNullness) {
   EXPECT_EQ(ok->name, "m");
 }
 
-// Pooled engines take the backend that is active when they are built. On
-// every available backend the float engine matches make_simd_engine on that
-// backend bit for bit, and the quantized engine matches the scalar quantized
-// engine (the exactness contract).
+// A server's workers build each request's datapath on the backend active
+// when it runs. On every available backend, a server built after
+// force_backend(b) answers float requests bit-identical to
+// make_simd_engine(artifact, b), unbatched and micro-batched, and quantized
+// requests bit-identical to the scalar quantized engine (the exactness
+// contract).
 TEST(EnginePoolTest, EngineMatchesDirectInference) {
   const ModelArtifactPtr artifact =
       artifact_with_twin(make_model(10, 2, 3, 7), "m");
+  ModelRegistry registry;
+  registry.register_model(artifact);
   Rng rng(8);
   const Matrix series = random_series(30, 2, rng);
   QuantizedInferenceEngine quant_direct = make_engine(*artifact->quantized);
   const std::span<const double> q = quant_direct.infer(series);
   const Vector quant_expected(q.begin(), q.end());
+  const serve::RequestOptions quant{.engine = EngineVariant::kQuantized};
 
   struct RestoreBackend {
     simd::Backend saved = simd::active_backend();
@@ -331,33 +187,49 @@ TEST(EnginePoolTest, EngineMatchesDirectInference) {
                           simd::Backend::kNeon, simd::Backend::kAvx512}) {
     if (!simd::backend_available(b)) continue;
     simd::force_backend(b);
-    const std::string backend = simd::backend_name(b);
-    EnginePool pool(1);
-    PooledEngine& engine = pool.engine_for(0, artifact, EngineVariant::kFloat);
     SimdInferenceEngine direct = make_simd_engine(artifact, b);
     const std::span<const double> z = direct.infer(series);
     const Vector expected(z.begin(), z.end());
-    expect_bit_identical(expected, engine.infer(series), backend + " float");
-    EXPECT_EQ(engine.classify(series),
-              static_cast<int>(std::max_element(expected.begin(),
-                                                expected.end()) -
-                               expected.begin()))
-        << backend;
+    const int expected_label = static_cast<int>(
+        std::max_element(expected.begin(), expected.end()) - expected.begin());
+    for (std::size_t max_batch : {std::size_t{1}, std::size_t{8}}) {
+      const std::string context = std::string(simd::backend_name(b)) +
+                                  " max_batch=" + std::to_string(max_batch);
+      InferenceServer server(registry,
+                             {.workers = 1,
+                              .queue_capacity = 16,
+                              .max_batch = max_batch,
+                              .batch_window_us = max_batch > 1 ? 2000u : 0u});
+      // A burst of each family, so the micro-batched server runs lanes.
+      std::vector<InferFuture> floats, quants;
+      for (int i = 0; i < 4; ++i) floats.push_back(server.submit("m", series));
+      for (int i = 0; i < 4; ++i) {
+        quants.push_back(server.submit("m", series, quant));
+      }
+      for (const InferFuture& future : floats) {
+        const InferResult& result = future.get();
+        ASSERT_EQ(result.status, RequestStatus::kOk) << context;
+        expect_bit_identical(expected, result.logits, context + " float");
+        EXPECT_EQ(result.label, expected_label) << context;
 #if defined(__x86_64__) || defined(_M_X64)
-    if (b == simd::Backend::kScalar) {
-      // The scalar kernels perform FloatDatapath's operations, so the
-      // scalar engine is bit-identical on x86-64 (see test_simd.cpp's
-      // FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes).
-      InferenceEngine scalar = make_engine(artifact);
-      const std::span<const double> s = scalar.infer(series);
-      expect_bit_identical(Vector(s.begin(), s.end()), engine.infer(series),
-                           "scalar FloatDatapath");
-    }
+        if (b == simd::Backend::kScalar) {
+          // The scalar kernels perform FloatDatapath's operations, so the
+          // scalar backend is bit-identical on x86-64 (see test_simd.cpp's
+          // FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes).
+          InferenceEngine scalar = make_engine(artifact);
+          const std::span<const double> s = scalar.infer(series);
+          expect_bit_identical(Vector(s.begin(), s.end()), result.logits,
+                               context + " scalar FloatDatapath");
+        }
 #endif
-    expect_bit_identical(
-        quant_expected,
-        pool.engine_for(0, artifact, EngineVariant::kQuantized).infer(series),
-        backend + " quantized");
+      }
+      for (const InferFuture& future : quants) {
+        const InferResult& result = future.get();
+        ASSERT_EQ(result.status, RequestStatus::kOk) << context;
+        expect_bit_identical(quant_expected, result.logits,
+                             context + " quantized");
+      }
+    }
   }
 }
 
@@ -582,9 +454,9 @@ TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
 
 // Evicting a model under traffic: in-flight requests finish (kOk on the
 // artifact they were routed to, or the typed kUnknownModel once the id is
-// gone — never a crash or dangle), and the pool's cached engines for the
-// evicted model are reclaimed promptly (the artifact dies once its last
-// in-flight holder drains) while traffic for other models keeps serving.
+// gone — never a crash or dangle), and the evicted model is reclaimed
+// promptly (the artifact dies once its last in-flight holder drains) while
+// traffic for other models keeps serving.
 TEST_F(ServerRouting, EvictionUnderTrafficReclaimsWithoutDangling) {
   ModelRegistry registry;
   registry.register_model(model_a_->artifact("keep"));
@@ -613,8 +485,7 @@ TEST_F(ServerRouting, EvictionUnderTrafficReclaimsWithoutDangling) {
 
   ASSERT_TRUE(registry.evict("evictee"));
   // Requests already admitted may still resolve; new ones get the typed
-  // error. Keep "keep" traffic flowing so every worker passes through
-  // engine_for and reclaims its cached evictee engines.
+  // error. Keep "keep" traffic flowing while the evictee drains.
   bool expired = false;
   for (int attempt = 0; attempt < 200 && !expired; ++attempt) {
     std::vector<InferFuture> futures;
@@ -637,9 +508,9 @@ TEST_F(ServerRouting, EvictionUnderTrafficReclaimsWithoutDangling) {
   expect_bit_identical(expected, after.logits, "post-eviction");
 }
 
-// A server whose registry evicts after the server was destroyed must not be
-// notified (unsubscribe on destruction) — and evictions with no server alive
-// are safe.
+// A registry outlives its servers: evictions after a server was destroyed,
+// and with no server alive, are safe (a server holds no registry
+// subscription or callback).
 TEST(ModelRegistry, EvictionListenersUnsubscribeCleanly) {
   ModelRegistry registry;
   const LoadedModel model = make_model(8, 2, 3, 61);
@@ -653,6 +524,82 @@ TEST(ModelRegistry, EvictionListenersUnsubscribeCleanly) {
   EXPECT_TRUE(registry.evict("m"));  // would crash if the listener dangled
   registry.register_model(model.artifact("m2"));
   EXPECT_TRUE(registry.evict("m2"));
+}
+
+// No further traffic is needed to free an evicted model: once its last
+// request has resolved, the registry held the only reference, on the
+// unbatched and on the micro-batched path, float and quantized alike. A
+// re-registered model then serves bit-identical results.
+TEST_F(ServerRouting, EvictedModelIsFreedWhenItsLastRequestResolves) {
+  const Vector expected = model_a_->infer((*series_a_)[0]);
+  for (std::size_t max_batch : {std::size_t{1}, std::size_t{8}}) {
+    const std::string context = "max_batch=" + std::to_string(max_batch);
+    ModelRegistry registry;
+    std::weak_ptr<const ModelArtifact> watch;
+    {
+      ModelArtifactPtr artifact = artifact_with_twin(*model_a_, "m");
+      watch = artifact;
+      registry.register_model(std::move(artifact));
+    }
+    InferenceServer server(registry,
+                           {.workers = 1,
+                            .queue_capacity = 16,
+                            .max_batch = max_batch,
+                            .batch_window_us = max_batch > 1 ? 2000u : 0u});
+    std::vector<InferFuture> futures;
+    for (int i = 0; i < 8; ++i) {
+      futures.push_back(server.submit(
+          "m", (*series_a_)[0],
+          serve::RequestOptions{.engine = i < 4 ? EngineVariant::kFloat
+                                                : EngineVariant::kQuantized}));
+    }
+    for (const InferFuture& future : futures) {
+      ASSERT_EQ(future.get().status, RequestStatus::kOk) << context;
+    }
+    ASSERT_TRUE(registry.evict("m"));
+    EXPECT_TRUE(watch.expired())
+        << context << ": the server still holds the evicted model";
+
+    registry.register_model(model_a_->artifact("m"));
+    const InferResult& revived = server.submit("m", (*series_a_)[0]).get();
+    ASSERT_EQ(revived.status, RequestStatus::kOk) << context;
+    expect_bit_identical(expected, revived.logits, context + " re-registered");
+  }
+}
+
+// Re-registering a model WITHOUT its quantized twin fails quantized requests
+// with the typed error while float requests keep serving; the swapped-out
+// artifact is freed at once (nothing caches it), and a twin-carrying
+// re-register serves quantized requests bit-identical again.
+TEST_F(ServerRouting, HotSwapDroppingTheTwinFailsQuantizedTypedAndRecovers) {
+  const serve::RequestOptions quant{.engine = EngineVariant::kQuantized};
+  const Matrix& series = (*series_a_)[0];
+  const QuantizedDfr quantized(*model_a_, QuantizedInferenceConfig{});
+  QuantizedInferenceEngine direct = make_engine(quantized);
+  const Vector expected(direct.infer(series).begin(),
+                        direct.infer(series).end());
+  ModelRegistry registry;
+  std::weak_ptr<const ModelArtifact> watch;
+  {
+    ModelArtifactPtr with_twin = artifact_with_twin(*model_a_, "m");
+    watch = with_twin;
+    registry.register_model(std::move(with_twin));
+  }
+  InferenceServer server(registry, {.workers = 1, .queue_capacity = 8});
+  ASSERT_EQ(server.submit("m", series, quant).get().status, RequestStatus::kOk);
+
+  registry.register_model(model_a_->artifact("m"));  // no twin
+  EXPECT_TRUE(watch.expired()) << "the swapped-out artifact is still held";
+  EXPECT_EQ(server.submit("m", series, quant).get().status,
+            RequestStatus::kInvalidArgument);
+  const InferResult& float_result = server.submit("m", series).get();
+  ASSERT_EQ(float_result.status, RequestStatus::kOk);
+  EXPECT_EQ(float_result.label, model_a_->classify(series));
+
+  registry.register_model(artifact_with_twin(*model_a_, "m"));
+  const InferResult& restored = server.submit("m", series, quant).get();
+  ASSERT_EQ(restored.status, RequestStatus::kOk);
+  expect_bit_identical(expected, restored.logits, "restored twin");
 }
 
 // ---- InferenceServer: hot swap under traffic -------------------------------
@@ -845,6 +792,70 @@ TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
   const std::size_t after = g_allocations.load();
   EXPECT_EQ(after, before)
       << "steady-state submit -> get must not allocate after warm-up";
+  EXPECT_GE(sink, 0);  // keep the loop observable
+}
+
+// The micro-batched submit -> get path allocates nothing in steady state
+// either, across two model shapes and both families on one worker: the
+// worker's batched and single-series scratch grow to the larger model once
+// and serve the smaller within that capacity. The batch window is long
+// enough that every burst of same-key requests coalesces; a lone request
+// waits it out and takes the single-series path.
+TEST_F(ServerRouting, MicroBatchedSubmitPathAllocationFreeInSteadyState) {
+  ModelRegistry registry;
+  registry.register_model(artifact_with_twin(*model_a_, "a"));
+  registry.register_model(artifact_with_twin(*model_b_, "b"));
+  InferenceServer server(registry, {.workers = 1,
+                                    .queue_capacity = 8,
+                                    .max_batch = 8,
+                                    .batch_window_us = 2000});
+  struct Key {
+    const char* id;
+    const Matrix* series;
+    serve::RequestOptions options;
+  };
+  const Key keys[] = {
+      {"a", &(*series_a_)[0], {.engine = EngineVariant::kFloat}},
+      {"b", &(*series_b_)[0], {.engine = EngineVariant::kFloat}},
+      {"a", &(*series_a_)[1], {.engine = EngineVariant::kQuantized}},
+      {"b", &(*series_b_)[1], {.engine = EngineVariant::kQuantized}},
+  };
+  std::vector<InferFuture> burst;
+  burst.reserve(server.queue_capacity());
+  std::size_t failed = 0;
+  int sink = 0;
+  const auto round = [&](std::size_t burst_size) {
+    for (const Key& key : keys) {
+      for (std::size_t i = 0; i < burst_size; ++i) {
+        burst.push_back(server.submit(key.id, *key.series, key.options));
+      }
+      for (const InferFuture& future : burst) {
+        const InferResult& result = future.get();
+        failed += result.status != RequestStatus::kOk;
+        sink += result.label;
+      }
+      burst.clear();  // keeps capacity
+    }
+  };
+
+  // Warm-up: every (path, family) serves both shapes, the per-model stats
+  // entries exist, and every slot has held a result.
+  for (int rep = 0; rep < 4; ++rep) {
+    round(1);
+    round(server.queue_capacity());
+    round(3);
+  }
+
+  const std::size_t before = g_allocations.load();
+  for (int rep = 0; rep < 25; ++rep) {
+    round(server.queue_capacity());
+    round(3);
+  }
+  round(1);
+  const std::size_t after = g_allocations.load();
+  EXPECT_EQ(after, before)
+      << "steady-state micro-batched submit -> get must not allocate";
+  EXPECT_EQ(failed, 0u);
   EXPECT_GE(sink, 0);  // keep the loop observable
 }
 
