@@ -117,7 +117,9 @@ BENCHMARK(BM_ForwardLanes)
 
 // What serve-fleet's micro-batcher runs: one BatchedEngine::infer over
 // `lanes` series (T = 64, V = 2) of a synthetic serving model (Nx = 30) on
-// the active backend, float or quantized. items_per_second counts series.
+// the active backend, float or quantized, on an engine built for 8 lanes,
+// serve-fleet's max_batch, as a server worker's scratch serves every batch
+// up to max_batch. items_per_second counts series.
 template <class Engine>
 void run_batched_infer(benchmark::State& state, Engine engine,
                        std::size_t lanes) {
@@ -138,18 +140,20 @@ void run_batched_infer(benchmark::State& state, Engine engine,
 void BM_BatchedInfer(benchmark::State& state, bool quantized) {
   static const ModelArtifactPtr artifact =
       serve::make_synth_artifact("bench", serve::SynthModelSpec{});
+  constexpr std::size_t kMaxBatch = 8;
   const auto lanes = static_cast<std::size_t>(state.range(0));
   if (quantized) {
-    run_batched_infer(state, make_batched_engine(artifact->quantized, lanes),
+    run_batched_infer(state,
+                      make_batched_engine(artifact->quantized, kMaxBatch),
                       lanes);
   } else {
-    run_batched_infer(state, make_batched_engine(artifact, lanes), lanes);
+    run_batched_infer(state, make_batched_engine(artifact, kMaxBatch), lanes);
   }
 }
 BENCHMARK_CAPTURE(BM_BatchedInfer, float, false)
-    ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(8);
+    ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8);
 BENCHMARK_CAPTURE(BM_BatchedInfer, quant, true)
-    ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(8);
+    ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8);
 
 void BM_BackpropFull(benchmark::State& state) {
   const Fixture fx(static_cast<std::size_t>(state.range(0)));
@@ -255,11 +259,11 @@ BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
 // entries the call one block of `steps` steps makes: single-series entries
 // at Nx in {10, 30, 100, 300}, the block entries at steps 1 and
 // DprrAccumulator::kBlockSteps, batched entries at Nx in {10, 30, 100} over
-// lanes in {1, 3, 8, 16}, and the lane block entry at Nx in {10, 30, 100}
-// over lanes in {3, 8} at steps 1 and ForwardLanes::kBlockSteps, on
-// 64-byte-aligned operands as ForwardLanes keeps them. items_per_second
-// counts series-steps, so every row compares directly. The ridge products
-// run at ECG's dual shapes instead, one call per iteration:
+// lanes in {1, 3, 8, 16}, and the lane block entries at Nx in {10, 30, 100}
+// over lanes in {3, 8} at steps 1 and SoaStep::kBlockSteps, on
+// 64-byte-aligned operands as the lane set (SoaStep) keeps them.
+// items_per_second counts series-steps, so every row compares directly. The
+// ridge products run at ECG's dual shapes instead, one call per iteration:
 // BM_Kernel/<entry>/<backend>/n:<N>/p:932 over N in
 // {80, 100} rows (the fit rows and all rows of select_ridge) of 931 features
 // plus the bias feature, with Ny = 2 for back_project.
@@ -295,8 +299,8 @@ struct KernelBuffers {
     return v;
   }
 
-  /// `v` from its first 64-byte line, as ForwardLanes keeps its SoA ring and
-  /// r; the buffers above hold the spare doubles for it.
+  /// `v` from its first 64-byte line, as the lane set keeps its ring and r;
+  /// the buffers above hold the spare doubles for it.
   static double* line_aligned(Vector& v) {
     const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
     return v.data() + (-addr % 64) / sizeof(double);
@@ -361,6 +365,13 @@ const LedgerEntry kLedger[] = {
        k.batched_mask(b.weights.data(), b.nx, KernelBuffers::kChannels,
                       b.u.data(), b.j.data(), b.lanes);
        return b.j.data();
+     }},
+    {"dprr_lanes", Shape::kLaneBlock,
+     [](const simd::Kernels& k, KernelBuffers& b) {
+       double* r = KernelBuffers::line_aligned(b.r);
+       k.dprr_lanes(r, KernelBuffers::line_aligned(b.states), b.steps, b.nx,
+                    b.lanes);
+       return r;
      }},
     {"dprr_lanes_exact", Shape::kLaneBlock,
      [](const simd::Kernels& k, KernelBuffers& b) {
@@ -463,7 +474,7 @@ void register_kernel_ledger() {
             if (nx != 300) {
               for (std::size_t lanes : {3, 8}) {
                 add(nx, lanes, 1);
-                add(nx, lanes, ForwardLanes::kBlockSteps);
+                add(nx, lanes, SoaStep::kBlockSteps);
               }
             }
             break;

@@ -1,27 +1,12 @@
 #include "dfr/backprop.hpp"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
 namespace dfr {
-namespace {
-
-constexpr std::size_t kLineDoubles = 64 / sizeof(double);
-
-/// The first 64-byte line boundary in `v`, which holds kLineDoubles - 1
-/// spare doubles for it. At 8 lanes every lane vector of the ring and of r
-/// then fills one line; a vector split over two lines costs the lane kernel
-/// 12-16% (README, "The DPRR across lanes").
-double* line_aligned(Vector& v) noexcept {
-  const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
-  return v.data() + (-addr % 64) / sizeof(double);
-}
-
-}  // namespace
 
 ReservoirGradients backprop_through_dprr(const ModularReservoir& reservoir,
                                          const DfrParams& params,
@@ -148,18 +133,13 @@ ForwardLanes::ForwardLanes(const ModularReservoir& reservoir, const Mask& mask,
       kept_(std::min(window, steps)),
       max_lanes_(max_lanes),
       j_(nx_, 0.0),
-      single_(nx_, DprrRounding::kExact, backend_),
-      step_(nx_, mask.channels(), max_lanes) {
+      single_(nx_, DprrRounding::kExact, backend_) {
   DFR_CHECK_MSG(mask.nodes() == nx_, "mask rows != reservoir node count");
   DFR_CHECK_MSG(steps >= 1, "series must have at least one step");
   DFR_CHECK_MSG(max_lanes >= 1 && max_lanes <= kLanes,
                 "lockstep lane count must be in [1, kLanes]");
   if (max_lanes > 1) {
-    group_.resize(max_lanes);
-    const std::size_t ring = (kBlockSteps + 1) * nx_ * max_lanes;
-    ring_size_ = (ring + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
-    lane_buf_.assign(
-        ring_size_ + dprr_dim(nx_) * max_lanes + kLineDoubles - 1, 0.0);
+    step_.resize(nx_, mask.channels(), max_lanes);
     lane_r_.assign(dprr_dim(nx_), 0.0);
   }
   if (kept_ > 0) {
@@ -183,9 +163,8 @@ void ForwardLanes::run(const DfrParams& params,
 
   if (n == 1) {
     // One series runs the single-series step, straight into the
-    // accumulator's ring: the same operations as one SoA lane, but at one
-    // lane the batched mask and B-chain run wholly in their scalar
-    // remainder, where they cost more (README, "Tuning cost").
+    // accumulator's ring: the same operations as one lane of the lane set,
+    // which would pad it to SoaStep::kPadLanes lanes, all but one wasted.
     single_.reset();
     for (std::size_t k = 1; k <= steps_; ++k) {
       datapath.mask_into(series[0]->row(k - 1), j_);
@@ -196,28 +175,11 @@ void ForwardLanes::run(const DfrParams& params,
     return;
   }
 
-  // The pad lanes repeat series[0], so the SoA step and the lane kernel run
-  // whole vectors.
-  width_ = std::min(max_lanes_, (n + kPadLanes - 1) / kPadLanes * kPadLanes);
-  for (std::size_t l = 0; l < width_; ++l) group_[l] = series[l < n ? l : 0];
-  const std::span<const Matrix* const> group(group_.data(), width_);
-  const std::size_t block = nx_ * width_;
-  double* const ring = line_aligned(lane_buf_);
-  double* const r = ring + ring_size_;
-  std::fill_n(r, dprr_dim(nx_) * width_, 0.0);
-  std::fill_n(ring, block, 0.0);  // x(0) = 0
-  std::size_t pending = 0;  // steps in ring blocks 1..pending, not yet in r
+  step_.start(n, dprr_lanes_);
   for (std::size_t k = 1; k <= steps_; ++k) {
-    double* x = ring + (pending + 1) * block;
-    step_.advance(datapath, group, k - 1, x - block, x);  // x(k) and j(k)
+    const double* x = step_.advance(datapath, series, k - 1);  // x(k), j(k)
     for (std::size_t l = 0; l < n; ++l) {
-      keep(l, k, x + l, step_.masked() + l, width_);
-    }
-    if (++pending == kBlockSteps || k == steps_) {
-      dprr_lanes_(r, ring, pending, nx_, width_);
-      // The block's last state is the next block's x(k0-1).
-      std::copy_n(x, block, ring);
-      pending = 0;
+      keep(l, k, x + l, step_.masked() + l, step_.width());
     }
   }
 }
@@ -238,10 +200,7 @@ void ForwardLanes::keep(std::size_t lane, std::size_t k, const double* x,
 const Vector& ForwardLanes::dprr(std::size_t lane) {
   DFR_CHECK_MSG(lane < lanes_, "lane index beyond the last group size");
   if (lanes_ == 1) return single_.features();
-  const double* r = line_aligned(lane_buf_) + ring_size_ + lane;
-  for (std::size_t f = 0; f < lane_r_.size(); ++f) {
-    lane_r_[f] = r[f * width_];
-  }
+  step_.read_dprr(lane, lane_r_.data());
   return lane_r_;
 }
 

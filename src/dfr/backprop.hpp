@@ -80,22 +80,19 @@ struct TruncatedForward {
   }
 };
 
-/// The training forward: runs up to max_lanes() series of one shape in
-/// lockstep, one structure-of-arrays time step at a time (serve/soa_step.hpp)
-/// through SimdFloatDatapath's SoA stages, the batched mask, preadd +
-/// nonlinearity and B-chain kernels of the active backend. Each step writes
-/// its state block x(k) straight into the next block of an SoA ring of
-/// kBlockSteps + 1 blocks, and each full ring runs through the exact lane
-/// DPRR kernel (simd::DprrLanesFn) in one call, which accumulates every
-/// lane's r, laid out [feature][lane]. A lane's tail is read from its ring
-/// block with the lane stride, and its r once per series, by dprr(). A
-/// group runs on a whole number of kPadLanes lanes: its pad lanes repeat the
-/// first series, and their results are never read. A one-series run
-/// takes the same datapath's single-series step into an exact
-/// DprrAccumulator instead. Per lane, the DPRR and the tail are
-/// bit-identical to stepping the series alone through Mask::apply_into and
-/// ModularReservoir::step (the batched step contract of simd_kernels.hpp on
-/// x86-64; each lane's r takes the per-lane exact kernel's operations).
+/// The training forward: the training view of the lane set
+/// (serve/soa_step.hpp), which runs up to max_lanes() series of one shape in
+/// lockstep through SimdFloatDatapath's SoA stages, the batched mask,
+/// preadd + nonlinearity and B-chain kernels of the active backend, and
+/// accumulates every lane's DPRR through the exact lane kernel
+/// (simd::Kernels::dprr_lanes_exact). On top of it, a lane's tail is read
+/// from each step's state block with the lane stride, and its r once per
+/// series, by dprr(). A one-series run takes the same datapath's
+/// single-series step into an exact DprrAccumulator instead. Per lane, the
+/// DPRR and the tail are bit-identical to stepping the series alone through
+/// Mask::apply_into and ModularReservoir::step (the batched step contract of
+/// simd_kernels.hpp on x86-64; each lane's r takes the per-lane exact
+/// kernel's operations).
 ///
 /// Every training pass runs many series at one (A, B): a feature pass over a
 /// dataset, and an SGD epoch whose reservoir update waits for the epoch's
@@ -105,19 +102,17 @@ struct TruncatedForward {
 /// Memory: a lane keeps its tail, (w+1) x Nx states and w x Nx masked
 /// inputs, so a group holds kLanes (w+1) Nx states at once: 8 x 2 x 30 = 480
 /// values at w = 1 and Nx = 30, still independent of T.
-/// stored_state_values() counts one series; the SoA ring,
-/// (kBlockSteps + 1) x Nx x max_lanes() values, and the lanes' r are
-/// implementation buffers on top, fixed in T. A one-lane forward holds
-/// neither, only the single-series accumulator. All storage is allocated at
-/// construction; run() allocates nothing. Not thread-safe: one per worker.
+/// stored_state_values() counts one series; the lane set's ring,
+/// (SoaStep::kBlockSteps + 1) x Nx x max_lanes() values (max_lanes()
+/// rounded up to SoaStep::kPadLanes), and the lanes' r are implementation
+/// buffers on top, fixed in T. A one-lane forward holds neither, only the
+/// single-series accumulator. All storage is allocated at construction;
+/// run() allocates nothing. Not thread-safe: one per worker.
 class ForwardLanes {
  public:
   /// Series per group, and the most a forward holds. Chosen from the ledger
   /// (BM_ForwardLanes, README).
   static constexpr std::size_t kLanes = 8;
-  /// Steps per lane-kernel call: the SoA ring holds kBlockSteps + 1 state
-  /// blocks. Chosen by measurement (README, "The DPRR across lanes").
-  static constexpr std::size_t kBlockSteps = 32;
 
   /// Storage for groups of up to `max_lanes` (1 to kLanes) series of
   /// `steps` rows and mask.channels() columns, keeping the last
@@ -146,11 +141,6 @@ class ForwardLanes {
   }
 
  private:
-  /// A group runs on a multiple of this many lanes, at most max_lanes(): a
-  /// whole AVX2 vector, and the AVX-512 set's 256-bit half step, so no group
-  /// of two or more series runs a scalar lane remainder there.
-  static constexpr std::size_t kPadLanes = 4;
-
   /// Lane `lane`'s x(k) and j(k), every `stride`-th value from `x` and `j`,
   /// into its tail, when step k falls in it.
   void keep(std::size_t lane, std::size_t k, const double* x, const double* j,
@@ -165,15 +155,9 @@ class ForwardLanes {
   std::size_t kept_;       // min(window, steps)
   std::size_t max_lanes_;
   std::size_t lanes_ = 0;  // lanes of the last run
-  std::size_t width_ = 0;  // the last run's lanes with its pad lanes
   Vector j_;               // j(k) of a one-series run
   DprrAccumulator single_;             // r of a one-series run
-  SoaStep step_;
-  std::vector<const Matrix*> group_;   // a run's series, padded to max_lanes
-  std::size_t ring_size_ = 0;  // the SoA ring's doubles, in whole lines
-  // From its first 64-byte line: the SoA ring, kBlockSteps + 1 blocks of
-  // Nx x max_lanes states, then every lane's r, dprr_dim(Nx) x max_lanes.
-  Vector lane_buf_;
+  SoaStep step_;                       // a group of two or more series
   Vector lane_r_;  // dprr()'s readout of one lane
   std::vector<Matrix> tail_states_;    // one per lane, (kept+1) x Nx
   std::vector<Matrix> tail_j_;         // one per lane, kept x Nx

@@ -17,10 +17,10 @@
 // kBlockSteps + 1 states to feed it: a fixed O(Nx) buffer, bigger than the
 // two rows the method needs, that buys one load and store of r per block
 // instead of per step. The result is bit-identical to one kernel call per
-// step for any blocking. DprrAccumulator serves single series: the serving
-// engines and a one-series training forward. The lockstep training forward
-// accumulates many series at once through the kernel's lane twin
-// (DprrLanesFn) over its own SoA ring (dfr/backprop.hpp, ForwardLanes).
+// step for any blocking. DprrAccumulator serves single series: the
+// single-series serving engines and a one-series training forward. Lockstep
+// groups, in serving and in training, accumulate through the kernel's lane
+// twin (DprrLanesFn) over the lane set's ring (serve/soa_step.hpp).
 
 #include <span>
 

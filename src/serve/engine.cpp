@@ -281,30 +281,17 @@ void BatchedScratch<P>::infer(const P& datapath,
 
   const std::size_t nx = datapath.nodes();
   const std::size_t t_len = series[0]->rows();
-  const simd::DprrBlockFn dprr_block = datapath.dprr_block();
   dim_ = dprr_dim(nx);
   classes_ = static_cast<std::size_t>(out->num_classes());
   batch_size_ = n;
   step_.resize(nx, datapath.channels(), max_lanes_);
-  pair_.resize(2 * nx);
   r_.resize(dim_ * max_lanes_);
   logits_.resize(classes_ * max_lanes_);
   labels_.resize(max_lanes_);
-  std::fill_n(r_.begin(), dim_ * n, 0.0);
 
-  step_.start(n);  // x(0) = 0
-  for (std::size_t k = 0; k < t_len; ++k) {
-    step_.advance(datapath, series, k);
-    const double* x_prev = step_.previous();
-    const double* x = step_.state();
-    for (std::size_t l = 0; l < n; ++l) {
-      for (std::size_t i = 0; i < nx; ++i) {
-        pair_[i] = x_prev[i * n + l];
-        pair_[nx + i] = x[i * n + l];
-      }
-      dprr_block(r_.data() + l * dim_, pair_.data(), 1, nx);
-    }
-  }
+  step_.start(n, datapath.dprr_lanes());  // x(0) = 0, r = 0
+  for (std::size_t k = 0; k < t_len; ++k) step_.advance(datapath, series, k);
+  for (std::size_t l = 0; l < n; ++l) step_.read_dprr(l, r_.data() + l * dim_);
   datapath.finalize(std::span<double>(r_.data(), dim_ * n), t_len);
 
   for (std::size_t l = 0; l < n; ++l) {

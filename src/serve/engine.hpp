@@ -39,9 +39,10 @@
 //
 // The two SIMD datapaths also run a step over many series at once, in
 // structure-of-arrays form (mask_soa, step_soa): BatchedScratch serves a
-// micro-batch through them, one lane per request, and accumulates each
-// lane's DPRR through the same block kernel, so a batched lane is
-// bit-identical to the single-series pipeline over the same datapath.
+// micro-batch through them on the lane set (serve/soa_step.hpp), one lane
+// per request, whose DPRR kernel (dprr_lanes()) rounds each lane as the
+// block kernel does, so a batched lane is bit-identical to the
+// single-series pipeline over the same datapath.
 //
 // Scratch and model are separate objects. A datapath is the model: cheap to
 // build, immutable, and the full-inference ones hold a reference-counted
@@ -176,11 +177,12 @@ class QuantizedDatapath {
 /// FloatDatapath with the vectorizable stages (masked-input preadd,
 /// nonlinearity) routed through serve/simd_kernels.hpp, the serialized
 /// B-chain as a scalar pass, and the DPRR on its backend's FMA-rounded block
-/// kernel. The SoA stages (mask_soa, step_soa) run the batched mask and
-/// B-chain kernels over blocks indexed [node*lanes + lane]: every vector
-/// operation spans independent series, so the B-chain vectorizes ACROSS
-/// series, and each lane rounds exactly like step() (bit-identical states on
-/// x86-64; the batched contract of simd_kernels.hpp).
+/// kernel (its lane twin in lockstep). The SoA stages (mask_soa, step_soa)
+/// run the batched mask and B-chain kernels over blocks indexed
+/// [node*lanes + lane]: every vector operation spans independent series, so
+/// the B-chain vectorizes ACROSS series, and each lane rounds exactly like
+/// step() (bit-identical states on x86-64; the batched contract of
+/// simd_kernels.hpp).
 /// Equivalence to FloatDatapath is governed by the ULP contract documented
 /// in simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound
 /// on finalized features). The artifact constructors share ownership of the
@@ -225,6 +227,10 @@ class SimdFloatDatapath {
   /// The block kernel of kDprrRounding on backend().
   [[nodiscard]] simd::DprrBlockFn dprr_block() const noexcept {
     return kernels_->dprr_block;
+  }
+  /// Its twin over lanes, for the lane set (serve/soa_step.hpp).
+  [[nodiscard]] simd::DprrLanesFn dprr_lanes() const noexcept {
+    return kernels_->dprr_lanes;
   }
   /// Time-averages any number of whole DPRR vectors laid end to end.
   void finalize(std::span<double> r, std::size_t t_len) const;
@@ -290,6 +296,10 @@ class SimdQuantizedDatapath {
   [[nodiscard]] simd::DprrBlockFn dprr_block() const noexcept {
     return kernels_->dprr_block_exact;
   }
+  /// Its twin over lanes, for the lane set (serve/soa_step.hpp).
+  [[nodiscard]] simd::DprrLanesFn dprr_lanes() const noexcept {
+    return kernels_->dprr_lanes_exact;
+  }
   /// Scales and quantizes any number of whole DPRR vectors laid end to end.
   void finalize(std::span<double> r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
@@ -309,13 +319,11 @@ class SimdQuantizedDatapath {
 
 /// The cross-request pipeline's mutable state for up to `max_lanes`
 /// series in lockstep, one per lane, holding no model: every infer() takes
-/// the SIMD datapath to run. Each time step runs the datapath's SoA stages
-/// over every lane at once (serve/soa_step.hpp); then each lane's x(k-1),
-/// x(k) pair is gathered into one shared 2 x Nx scratch and accumulated into
-/// that lane's own DPRR row by the datapath's block kernel, one step per
-/// call: the operations the single-series ring runs, so every lane is
-/// bit-identical to SeriesScratch over the same datapath. Buffers (SoA
-/// state blocks, the pair, the per-lane DPRR rows and logits) are sized for
+/// the SIMD datapath to run. The series run on the lane set
+/// (serve/soa_step.hpp), whose DPRR kernel is the datapath's dprr_lanes():
+/// it rounds each lane as the single-series ring's block kernel does, so
+/// every lane is bit-identical to SeriesScratch over the same datapath.
+/// Buffers (the lane set, the per-lane features and logits) are sized for
 /// `max_lanes` from the datapath in hand and grow only past the largest
 /// model served, so infer() performs zero heap allocations in steady state
 /// whatever the batch size or model. Lanes are independent: lane l's
@@ -352,9 +360,8 @@ class BatchedScratch {
   std::size_t batch_size_ = 0;  // lanes used by the last infer()
   std::size_t dim_ = 0;         // the last infer()'s dprr_dim(Nx)
   std::size_t classes_ = 0;     // the last infer()'s Ny
-  SoaStep step_;       // SoA input, masked-input and state blocks
-  Vector pair_;        // one lane's x(k-1), x(k): 2 x Nx
-  Vector r_;           // lane l's DPRR at [l, l+1) * dim_
+  SoaStep step_;       // the lane set
+  Vector r_;           // lane l's features at [l, l+1) * dim_
   Vector logits_;      // lane l's logits at [l, l+1) * classes_
   std::vector<int> labels_;  // per-lane argmax
 };

@@ -43,8 +43,8 @@
 //    (model id, engine variant, series shape), waits up to
 //    ServerConfig::batch_window_us for more matching arrivals, and runs the
 //    coalesced set as ONE cross-request SoA inference (BatchedScratch: one
-//    request per vector lane, so the serialized B-chain vectorizes across
-//    requests). Each lane's result routes back to its own InferFuture;
+//    request per vector lane, so the serialized B-chain and the DPRR
+//    vectorize across requests). Each lane's result routes back to its own InferFuture;
 //    singleton traffic falls back to the per-request path. The batch is
 //    routed ONCE at dequeue time — all lanes serve the artifact the head
 //    resolved, which is what makes hot-swap semantics identical to the

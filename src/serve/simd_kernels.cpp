@@ -189,6 +189,7 @@ constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &batched_quant_bchain_scalar,
                                  &batched_mask_scalar,
                                  &dprr_lanes_scalar,
+                                 &dprr_lanes_scalar,
                                  &row_gram_scalar,
                                  &back_project_scalar};
 

@@ -21,10 +21,10 @@
 // of once per step. Each element of r still sees the same operations in the
 // same time order, so a block is bit-identical to its steps run one call
 // each, under either rounding. DprrAccumulator (dfr/dprr.hpp) feeds it from
-// a ring of recent states; dprr_from_states runs it over a stored trajectory;
-// the batched engine runs it one step per call on each lane's own r. Its
-// twin over lanes, DprrLanesFn, runs the exact accumulate of many series at
-// once, with the vectors across series (see the batched family below).
+// a ring of recent states, and dprr_from_states runs it over a stored
+// trajectory. Its twin over lanes, DprrLanesFn, runs the accumulate of many
+// series at once, also one entry per rounding, with the vectors across
+// series (see the batched family below).
 //
 // Backends are selected at RUNTIME, not by compile flags: the ISA-specific
 // translation units (simd_kernels_avx2.cpp, simd_kernels_avx512.cpp,
@@ -138,30 +138,30 @@ using QuantPreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
 // kBatchedMaxLanes concurrent series into structure-of-arrays form, state
 // buffers indexed [node*lanes + lane], so every vector operation spans
 // INDEPENDENT series: the per-node B-chain dependence crosses rows, never
-// lanes, and lanes stay full at any Nx. The exact DPRR has a lane entry too,
-// dprr_lanes_exact: a time block of SoA states accumulates into an r laid
-// out [feature*lanes + lane], so its vectors also span series and no Nx
-// remainder exists. The lockstep training forward runs it; the batched
-// serving engine still gathers each lane's x(k-1), x(k) pair out of the SoA
-// block into that lane's own r, through dprr_block / dprr_block_exact one
-// step per call.
+// lanes, and lanes stay full at any Nx. The DPRR has a lane entry per
+// rounding too, dprr_lanes and dprr_lanes_exact: a time block of SoA states
+// accumulates into an r laid out [feature*lanes + lane], so its vectors also
+// span series and no Nx remainder exists. The lane set (serve/soa_step.hpp)
+// runs them for both lockstep forwards: the batched serving engine at its
+// datapath's rounding, the training forward exact.
 //
 // Per-lane equivalence contract (x86-64; the aarch64 caveat above applies):
 //   * batched_mask and batched_bchain perform the scalar mask's and B-chain's
 //     multiplies and adds per lane in the same order — never FMA — so
 //     batched float states are bit-identical per lane to the single-series
-//     path on every backend. A lane's DPRR runs the single-series block
-//     kernel on those states, so batched float features match the
-//     single-series SIMD engine bit-identically per lane and the scalar
-//     FloatDatapath within simd_feature_ulp_bound (same contract as above).
+//     path on every backend. A lane's DPRR runs dprr_lanes on those states,
+//     so batched float features match the single-series SIMD engine
+//     bit-identically per lane and the scalar FloatDatapath within
+//     simd_feature_ulp_bound (same contract as above).
 //   * batched_quant_bchain never uses FMA and rounds exactly like the scalar
 //     fixed-point B-chain, and quantized lanes accumulate through
-//     dprr_block_exact: batched quantized lanes are BIT-IDENTICAL to the
+//     dprr_lanes_exact: batched quantized lanes are BIT-IDENTICAL to the
 //     scalar QuantizedDatapath on every backend (asserted EXPECT_EQ-strict
 //     by test_batched.cpp).
-//   * dprr_lanes_exact gives every element of every lane's r one multiply,
-//     then one add, per step in time order, as dprr_block_exact does, so
-//     each lane's r is bit-identical to dprr_block_exact over that lane's
+//   * dprr_lanes gives every element of every lane's r one FMA per step in
+//     time order, as dprr_block does, and dprr_lanes_exact one multiply,
+//     then one add, as dprr_block_exact does, so each lane's r is
+//     bit-identical to the block entry of its rounding over that lane's
 //     states on every backend (memcmp-checked by test_simd.cpp).
 // The elementwise stages (preadd_nonlin, quant_preadd_nonlin,
 // scale_quantize) are reused unchanged over nx*lanes-element SoA blocks —
@@ -196,12 +196,14 @@ using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
                                std::size_t channels, const double* u,
                                double* j, std::size_t lanes);
 
-/// Exact time-blocked DPRR over `lanes` series at once: DprrBlockFn with
-/// every state row and every element of r widened to one value per lane.
+/// Time-blocked DPRR over `lanes` series at once: DprrBlockFn with every
+/// state row and every element of r widened to one value per lane.
 /// `states` points at steps+1 contiguous SoA blocks of nx*lanes doubles,
 /// x(k0-1), x(k0), ..., x(k0+steps-1), lane l's node i at [i*lanes + l]; r
 /// holds dprr_dim(nx)*lanes doubles, lane l's feature f at [f*lanes + l].
-/// For each lane and each k in time order, one multiply then one add:
+/// For each lane and each k in time order, one accumulate at the entry's
+/// rounding (dprr_lanes one FMA, as dprr_block; dprr_lanes_exact a multiply
+/// then an add, as dprr_block_exact):
 ///   r[(i*nx + j)*lanes + l] += x(k)_{i,l} * x(k-1)_{j,l}
 ///   r[(nx*nx + i)*lanes + l] += x(k)_{i,l}.
 /// steps >= 1, and `r` must not alias `states`.
@@ -245,9 +247,10 @@ using BackProjectFn = void (*)(const double* const* rows, std::size_t n,
 /// accumulate like the scalar reference and is bit-identical to it on every
 /// backend (the quantized family, single-series training and
 /// dprr_from_states use it). The batched_* members run one step per call
-/// over the SoA layout documented above, and `dprr_lanes_exact` a time block
-/// of it, the exact accumulate of the lockstep training forward; `row_gram`
-/// and `back_project` are the ridge readout's exact products.
+/// over the SoA layout documented above, and `dprr_lanes` /
+/// `dprr_lanes_exact` a time block of it at the two roundings, the lane
+/// set's accumulate (serve/soa_step.hpp); `row_gram` and `back_project` are
+/// the ridge readout's exact products.
 struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;
@@ -258,6 +261,7 @@ struct Kernels {
   BatchedBChainFn batched_bchain;
   BatchedQuantBChainFn batched_quant_bchain;
   BatchedMaskFn batched_mask;
+  DprrLanesFn dprr_lanes;
   DprrLanesFn dprr_lanes_exact;
   RowGramFn row_gram;
   BackProjectFn back_project;

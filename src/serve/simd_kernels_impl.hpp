@@ -324,13 +324,13 @@ void batched_mask(const double* weights, std::size_t nx, std::size_t channels,
   }
 }
 
-// ---- the exact DPRR across lanes (DprrLanesFn) ------------------------------
+// ---- the DPRR across lanes (DprrLanesFn) ------------------------------------
 // A vector holds one element of r, or one node of a state, for consecutive
 // lanes, so every vector operation is whole at any Nx. A tile of kRows x
 // kCols elements (i, j) of r stays in registers across a block's steps; each
 // step loads kRows lane vectors x(k)_i and kCols lane vectors x(k-1)_j for
-// kRows * kCols multiply-adds, each a multiply then an add in the per-lane
-// kernel's operand order (dprr_tile), so every lane keeps its bits.
+// kRows * kCols multiply-adds, each rounded per kMode with the per-lane
+// kernel's operands (dprr_tile), so every lane keeps that kernel's bits.
 
 // The tile edge per vector width, chosen by measurement (README, "The DPRR
 // across lanes"): 5 x 5 at 8 doubles, whose 25 accumulators
@@ -342,7 +342,7 @@ inline constexpr std::size_t kLaneTile = O::kWidth >= 8 ? 5 : 3;
 
 // One tile at rows i0.. and columns j0.. of the lane vector that `r` and
 // `states` already point at.
-template <class O, std::size_t kRows, std::size_t kCols>
+template <class O, std::size_t kRows, std::size_t kCols, Accumulate kMode>
 inline void dprr_lanes_tile(double* r, const double* states, std::size_t steps,
                             std::size_t nx, std::size_t lanes, std::size_t i0,
                             std::size_t j0) {
@@ -365,7 +365,7 @@ inline void dprr_lanes_tile(double* r, const double* states, std::size_t steps,
     for (std::size_t a = 0; a < kRows; ++a) {
       const typename O::vec xi = O::load(x_i + a * lanes);
       for (std::size_t b = 0; b < kCols; ++b) {
-        acc[a][b] = madd<O, Accumulate::kExact>(xi, xj[b], acc[a][b]);
+        acc[a][b] = madd<O, kMode>(xi, xj[b], acc[a][b]);
       }
     }
     x_j += block;
@@ -381,9 +381,9 @@ inline void dprr_lanes_tile(double* r, const double* states, std::size_t steps,
 
 // Lane vector by lane vector: the Nx x Nx block tile by tile, then the
 // node-sum rows, one add per step in time order.
-template <class Ops>
-void dprr_lanes_exact(double* r, const double* states, std::size_t steps,
-                      std::size_t nx, std::size_t lanes) {
+template <class Ops, Accumulate kMode>
+void dprr_lanes(double* r, const double* states, std::size_t steps,
+                std::size_t nx, std::size_t lanes) {
   const std::size_t block = nx * lanes;
   for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
     constexpr std::size_t kTile = kLaneTile<O>;
@@ -391,8 +391,8 @@ void dprr_lanes_exact(double* r, const double* states, std::size_t steps,
       with_tile_rows<kTile>(nx - i, [&](auto rows) {
         for (std::size_t j = 0; j < nx; j += kTile) {
           with_tile_rows<kTile>(nx - j, [&](auto cols) {
-            dprr_lanes_tile<O, decltype(rows)::value, decltype(cols)::value>(
-                r + l, states + l, steps, nx, lanes, i, j);
+            dprr_lanes_tile<O, decltype(rows)::value, decltype(cols)::value,
+                            kMode>(r + l, states + l, steps, nx, lanes, i, j);
           });
         }
       });
@@ -573,7 +573,8 @@ constexpr Kernels kernel_table(Backend backend) noexcept {
                  &batched_bchain<Ops>,
                  &batched_quant_bchain<Ops>,
                  &batched_mask<Ops>,
-                 &dprr_lanes_exact<Ops>,
+                 &dprr_lanes<Ops, Accumulate::kFloat>,
+                 &dprr_lanes<Ops, Accumulate::kExact>,
                  &row_gram<Ops>,
                  &back_project<Ops>};
 }

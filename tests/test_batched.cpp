@@ -412,23 +412,33 @@ TEST(BatchedEngine, MalformedBatchesThrow) {
 // Every lane count from 1 to kBatchedMaxLanes round-trips through infer() on
 // every available backend — the kernels' lane loops handle every whole-vector
 // / scalar-remainder split: labels match the scalar engine and logits are
-// bit-identical to the single-series SIMD engine on the same backend.
+// bit-identical to the single-series SIMD engine on the same backend. Each
+// lane count runs on an engine sized to it, and on one engine per backend
+// sized for kBatchedMaxLanes and reused across every lane count, as a server
+// worker's scratch, sized for max_batch, serves every smaller batch.
 TEST(BatchedEngine, EveryLaneCountUpToMaxWorks) {
   Rng rng(31);
   const LoadedModel model =
       make_model(5, 2, 3, NonlinearityKind::kCubic, 77);
   const ModelArtifactPtr artifact = model.artifact("m");
   InferenceEngine scalar_engine = make_engine(artifact);
+  std::vector<BatchedInferenceEngine> widest;
+  for (simd::Backend b : available_backends()) {
+    widest.push_back(make_batched_engine(artifact, simd::kBatchedMaxLanes, b));
+  }
   for (std::size_t lanes = 1; lanes <= simd::kBatchedMaxLanes; ++lanes) {
     std::vector<Matrix> batch;
     for (std::size_t l = 0; l < lanes; ++l) {
       batch.push_back(random_series(25, 2, rng));
     }
     const std::vector<const Matrix*> ptrs = series_ptrs(batch);
+    std::size_t backend_index = 0;
     for (simd::Backend b : available_backends()) {
       SimdInferenceEngine single = make_simd_engine(artifact, b);
       BatchedInferenceEngine engine = make_batched_engine(artifact, lanes, b);
       engine.infer(std::span<const Matrix* const>(ptrs));
+      BatchedInferenceEngine& reused = widest[backend_index++];
+      reused.infer(std::span<const Matrix* const>(ptrs));
       for (std::size_t l = 0; l < lanes; ++l) {
         const std::string context = std::string(simd::backend_name(b)) +
                                     " lanes=" + std::to_string(lanes) +
@@ -437,6 +447,8 @@ TEST(BatchedEngine, EveryLaneCountUpToMaxWorks) {
             << context;
         expect_bit_identical(single.infer(batch[l]), engine.lane_logits(l),
                              context);
+        expect_bit_identical(single.infer(batch[l]), reused.lane_logits(l),
+                             context + " on the widest engine");
       }
     }
   }

@@ -274,7 +274,7 @@ TEST(ForwardLanes, LanesMatchOneLaneRuns) {
 // on how many series share its group, over more than one lane-kernel block.
 TEST(ForwardLanes, EveryGroupSizeMatchesOneLaneRuns) {
   constexpr std::size_t kNx = 9;
-  constexpr std::size_t kSteps = ForwardLanes::kBlockSteps + 9;
+  constexpr std::size_t kSteps = SoaStep::kBlockSteps + 9;
   constexpr std::size_t kWindow = 3;
   const DfrParams params{0.3, 0.35};
   Rng rng(57);

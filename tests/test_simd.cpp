@@ -386,14 +386,15 @@ TEST(SimdKernels, DprrBlockBitIdenticalToItsSteps) {
   }
 }
 
-// The lane DPRR against the per-lane exact block kernel, on every backend:
-// each lane's r must have the bits (memcmp, so signed zeros count) that
-// dprr_block_exact leaves in that lane's r over that lane's states, at every
-// Nx from 1 to 17 and at 30, 31 and 100, every lane count from 1 to 16, and
-// block lengths around ForwardLanes' K. r starts nonzero, and about a tenth
-// of the states and of r start as exactly +0.0 or -0.0.
+// The lane DPRR against the per-lane block kernel of its rounding, on every
+// backend: each lane's r must have the bits (memcmp, so signed zeros count)
+// that dprr_block (for dprr_lanes) or dprr_block_exact (for
+// dprr_lanes_exact) leaves in that lane's r over that lane's states, at
+// every Nx from 1 to 17 and at 30, 31 and 100, every lane count from 1 to
+// 16, and block lengths around the lane set's K. r starts nonzero, and about
+// a tenth of the states and of r start as exactly +0.0 or -0.0.
 TEST(SimdKernels, DprrLanesBitIdenticalToPerLaneBlocks) {
-  constexpr std::size_t kK = ForwardLanes::kBlockSteps;
+  constexpr std::size_t kK = SoaStep::kBlockSteps;
   std::vector<std::size_t> sizes;
   for (std::size_t nx = 1; nx <= 17; ++nx) sizes.push_back(nx);
   for (std::size_t nx : {30, 31, 100}) sizes.push_back(nx);
@@ -414,25 +415,34 @@ TEST(SimdKernels, DprrLanesBitIdenticalToPerLaneBlocks) {
         for (double& v : r0) v = draw(4.0);
         for (simd::Backend b : available_backends()) {
           const simd::Kernels& kernels = simd::kernels_for(b);
-          Vector r = r0;
-          kernels.dprr_lanes_exact(r.data(), states.data(), steps, nx, lanes);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            Vector lane_states((steps + 1) * nx);
-            for (std::size_t q = 0; q < lane_states.size(); ++q) {
-              lane_states[q] = states[q * lanes + l];
+          const struct {
+            simd::DprrLanesFn lanes;
+            simd::DprrBlockFn block;
+            const char* rounding;
+          } roundings[] = {
+              {kernels.dprr_lanes, kernels.dprr_block, "float"},
+              {kernels.dprr_lanes_exact, kernels.dprr_block_exact, "exact"}};
+          for (const auto& rounding : roundings) {
+            SCOPED_TRACE(rounding.rounding);
+            Vector r = r0;
+            rounding.lanes(r.data(), states.data(), steps, nx, lanes);
+            for (std::size_t l = 0; l < lanes; ++l) {
+              Vector lane_states((steps + 1) * nx);
+              for (std::size_t q = 0; q < lane_states.size(); ++q) {
+                lane_states[q] = states[q * lanes + l];
+              }
+              Vector expected(dim), got(dim);
+              for (std::size_t f = 0; f < dim; ++f) {
+                expected[f] = r0[f * lanes + l];
+                got[f] = r[f * lanes + l];
+              }
+              rounding.block(expected.data(), lane_states.data(), steps, nx);
+              ASSERT_EQ(std::memcmp(expected.data(), got.data(),
+                                    dim * sizeof(double)),
+                        0)
+                  << simd::backend_name(b) << " nx=" << nx
+                  << " lanes=" << lanes << " steps=" << steps << " lane=" << l;
             }
-            Vector expected(dim), got(dim);
-            for (std::size_t f = 0; f < dim; ++f) {
-              expected[f] = r0[f * lanes + l];
-              got[f] = r[f * lanes + l];
-            }
-            kernels.dprr_block_exact(expected.data(), lane_states.data(),
-                                     steps, nx);
-            ASSERT_EQ(std::memcmp(expected.data(), got.data(),
-                                  dim * sizeof(double)),
-                      0)
-                << simd::backend_name(b) << " nx=" << nx
-                << " lanes=" << lanes << " steps=" << steps << " lane=" << l;
           }
         }
       }
