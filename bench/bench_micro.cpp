@@ -9,7 +9,8 @@
 //   * BM_Kernel, the kernel ledger: every simd::Kernels entry on every
 //     backend this host and build can run;
 //   * BM_BatchedInfer, one micro-batch through the batched serving engine,
-//     per series by batch size.
+//     per series by batch size, and BM_SingleInfer, one series through the
+//     single-series SIMD engine.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -155,6 +156,30 @@ BENCHMARK_CAPTURE(BM_BatchedInfer, float, false)
 BENCHMARK_CAPTURE(BM_BatchedInfer, quant, true)
     ->ArgName("lanes")->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8);
 
+// What a single-series request runs: one make_simd_engine(...).infer over
+// BM_BatchedInfer's first series, on the same model and backend, so a
+// batched row's cost per series reads against it from one run.
+template <class Engine>
+void run_single_infer(benchmark::State& state, Engine engine) {
+  const Matrix series = serve::make_synth_series(64, 2, 101);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.infer(series).data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_SingleInfer(benchmark::State& state, bool quantized) {
+  static const ModelArtifactPtr artifact =
+      serve::make_synth_artifact("bench", serve::SynthModelSpec{});
+  if (quantized) {
+    run_single_infer(state, make_simd_engine(artifact->quantized));
+  } else {
+    run_single_infer(state, make_simd_engine(artifact));
+  }
+}
+BENCHMARK_CAPTURE(BM_SingleInfer, float, false);
+BENCHMARK_CAPTURE(BM_SingleInfer, quant, true);
+
 void BM_BackpropFull(benchmark::State& state) {
   const Fixture fx(static_cast<std::size_t>(state.range(0)));
   const auto fwd = run_forward_full(fx.reservoir, fx.params, fx.mask, fx.series);
@@ -258,10 +283,11 @@ BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
 // iteration is the call one reservoir step makes, or for the DPRR block
 // entries the call one block of `steps` steps makes: single-series entries
 // at Nx in {10, 30, 100, 300}, the block entries at steps 1 and
-// DprrAccumulator::kBlockSteps, batched entries at Nx in {10, 30, 100} over
-// lanes in {1, 3, 8, 16}, and the lane block entries at Nx in {10, 30, 100}
-// over lanes in {3, 8} at steps 1 and SoaStep::kBlockSteps, on
-// 64-byte-aligned operands as the lane set (SoaStep) keeps them.
+// DprrAccumulator::kBlockSteps, the lane step entries at Nx in {10, 30, 100}
+// over lanes in {1, 3, 4, 8, 16}, and the lane block entries at Nx in
+// {10, 30, 100} over lanes in {3, 8} at steps 1 and SoaStep::kBlockSteps.
+// The lane entries read and write their state blocks on 64-byte-aligned
+// operands, as the lane set (SoaStep) keeps them.
 // items_per_second counts series-steps, so every row compares directly. The
 // ridge products run at ECG's dual shapes instead, one call per iteration:
 // BM_Kernel/<entry>/<backend>/n:<N>/p:932 over N in
@@ -308,17 +334,16 @@ struct KernelBuffers {
   static constexpr std::size_t kLineDoubles = 64 / sizeof(double);
 };
 
-/// One Kernels entry: runs its call and returns the buffer it wrote. The
-/// chain entries pass b = 0 so the in-place state stays the same from one
-/// iteration to the next; their cost does not depend on b.
+/// One Kernels entry: runs its call and returns the buffer it wrote.
 struct LedgerEntry {
-  enum class Shape { kSingle, kBlock, kBatched, kLaneBlock };
+  enum class Shape { kSingle, kBlock, kLaneStep, kLaneBlock };
   const char* name;
   Shape shape;
   double* (*run)(const simd::Kernels& k, KernelBuffers& b);
 };
 
 constexpr double kA = 0.5;
+constexpr double kB = 0.3;
 using Shape = LedgerEntry::Shape;
 
 const LedgerEntry kLedger[] = {
@@ -349,22 +374,22 @@ const LedgerEntry kLedger[] = {
        k.dprr_block_exact(b.r.data(), b.states.data(), b.steps, b.nx);
        return b.r.data();
      }},
-    {"batched_bchain", Shape::kBatched,
+    {"lane_step", Shape::kLaneStep,
      [](const simd::Kernels& k, KernelBuffers& b) {
-       k.batched_bchain(0.0, b.x_prev.data(), b.out.data(), b.nx, b.lanes);
-       return b.out.data();
+       double* x_prev = KernelBuffers::line_aligned(b.states);
+       double* x = x_prev + b.nx * b.lanes;
+       k.lane_step(b.f, kA, kB, b.weights.data(), KernelBuffers::kChannels,
+                   b.u.data(), x_prev, b.j.data(), x, b.nx, b.lanes);
+       return x;
      }},
-    {"batched_quant_bchain", Shape::kBatched,
+    {"lane_quant_step", Shape::kLaneStep,
      [](const simd::Kernels& k, KernelBuffers& b) {
-       k.batched_quant_bchain(0.0, b.fmt, b.x_prev.data(), b.out.data(), b.nx,
-                              b.lanes);
-       return b.out.data();
-     }},
-    {"batched_mask", Shape::kBatched,
-     [](const simd::Kernels& k, KernelBuffers& b) {
-       k.batched_mask(b.weights.data(), b.nx, KernelBuffers::kChannels,
-                      b.u.data(), b.j.data(), b.lanes);
-       return b.j.data();
+       double* x_prev = KernelBuffers::line_aligned(b.states);
+       double* x = x_prev + b.nx * b.lanes;
+       k.lane_quant_step(b.f, kA, kB, b.fmt, 1.0, b.weights.data(),
+                         KernelBuffers::kChannels, b.u.data(), x_prev,
+                         b.j.data(), x, b.nx, b.lanes);
+       return x;
      }},
     {"dprr_lanes", Shape::kLaneBlock,
      [](const simd::Kernels& k, KernelBuffers& b) {
@@ -436,7 +461,7 @@ void register_kernel_ledger() {
         std::string name = std::string("BM_Kernel/") + entry.name + "/" +
                            simd::backend_name(backend) +
                            "/nx:" + std::to_string(nx);
-        if (entry.shape == Shape::kBatched ||
+        if (entry.shape == Shape::kLaneStep ||
             entry.shape == Shape::kLaneBlock) {
           name += "/lanes:" + std::to_string(lanes);
         }
@@ -465,9 +490,9 @@ void register_kernel_ledger() {
             add(nx, 1, 1);
             add(nx, 1, DprrAccumulator::kBlockSteps);
             break;
-          case Shape::kBatched:
+          case Shape::kLaneStep:
             if (nx != 300) {
-              for (std::size_t lanes : {1, 3, 8, 16}) add(nx, lanes, 1);
+              for (std::size_t lanes : {1, 3, 4, 8, 16}) add(nx, lanes, 1);
             }
             break;
           case Shape::kLaneBlock:

@@ -37,8 +37,7 @@ case "${2:?usage: ci/isa_symbols.sh <build-dir> x86|neon}" in
     fi
     "$nm_tool" -C "$objects/simd_kernels_neon.cpp.o" | tee "$build/neon-symbols.txt"
     for fn in preadd_nonlin dprr_block scale_quantize quant_preadd_nonlin \
-              batched_bchain batched_quant_bchain batched_mask \
-              dprr_lanes row_gram back_project; do
+              lane_step lane_quant_step dprr_lanes row_gram back_project; do
       grep -q "::${fn}<dfr::simd::(anonymous namespace)::NeonOps" \
         "$build/neon-symbols.txt" || { echo "no ${fn}<NeonOps> in the NEON object"; exit 1; }
     done

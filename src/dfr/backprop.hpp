@@ -82,15 +82,16 @@ struct TruncatedForward {
 
 /// The training forward: the training view of the lane set
 /// (serve/soa_step.hpp), which runs up to max_lanes() series of one shape in
-/// lockstep through SimdFloatDatapath's SoA stages, the batched mask,
-/// preadd + nonlinearity and B-chain kernels of the active backend, and
-/// accumulates every lane's DPRR through the exact lane kernel
+/// lockstep through SimdFloatDatapath's SoA step, the active backend's
+/// lane_step kernel (the mask, preadd + nonlinearity and B-chain in one
+/// pass, writing the j(k) and x(k) that the tails read), and accumulates
+/// every lane's DPRR through the exact lane kernel
 /// (simd::Kernels::dprr_lanes_exact). On top of it, a lane's tail is read
 /// from each step's state block with the lane stride, and its r once per
 /// series, by dprr(). A one-series run takes the same datapath's
 /// single-series step into an exact DprrAccumulator instead. Per lane, the
 /// DPRR and the tail are bit-identical to stepping the series alone through
-/// Mask::apply_into and ModularReservoir::step (the batched step contract of
+/// Mask::apply_into and ModularReservoir::step (the lane step contract of
 /// simd_kernels.hpp on x86-64; each lane's r takes the per-lane exact
 /// kernel's operations).
 ///

@@ -77,7 +77,10 @@ TrainResult Trainer::fit(const Dataset& train) const {
     params.b = ab[1];
   };
   const bool sgd_fast_path = config_.optimizer == OptimizerKind::kSgd;
-  Vector flat_output_grad;  // only for non-SGD optimizers
+  // Only for non-SGD optimizers: the readout's gradient and parameters packed
+  // as [vec(W), b], sized at the first sample and reused for every other.
+  Vector flat_output_grad;
+  Vector flat_params;
 
   TrainResult result;
   result.params = params;
@@ -171,7 +174,7 @@ TrainResult Trainer::fit(const Dataset& train) const {
             flat_output_grad[ny * nr + c] = dz;
           }
           // Pack parameters, step, unpack.
-          Vector flat_params(ny * nr + ny);
+          flat_params.resize(ny * nr + ny);
           for (std::size_t c = 0; c < ny; ++c) {
             const auto row = output.weights().row(c);
             std::copy(row.begin(), row.end(), flat_params.begin() + c * nr);

@@ -149,21 +149,11 @@ void SimdFloatDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdFloatDatapath::mask_soa(const double* u, double* j,
+void SimdFloatDatapath::step_soa(const double* u, const double* x_prev,
+                                 double* j, double* x_out,
                                  std::size_t lanes) const {
-  kernels_->batched_mask(mask_->weights().data(), nodes(), channels(), u, j,
-                         lanes);
-}
-
-void SimdFloatDatapath::step_soa(const double* j, const double* x_prev,
-                                 double* x_out, std::size_t lanes) const {
-  const std::size_t nx = nodes();
-  // The preadd is a pure per-element map, so running it over the whole SoA
-  // block performs exactly step()'s operations per lane.
-  kernels_->preadd_nonlin(f_, params_.a, j, x_prev, x_out, nx * lanes);
-  // Each lane's chain continues from its own x(k-1)_{Nx}, the last row.
-  kernels_->batched_bchain(params_.b, x_prev + (nx - 1) * lanes, x_out, nx,
-                           lanes);
+  kernels_->lane_step(f_, params_.a, params_.b, mask_->weights().data(),
+                      channels(), u, x_prev, j, x_out, nodes(), lanes);
 }
 
 void SimdFloatDatapath::finalize(std::span<double> r, std::size_t t_len) const {
@@ -223,22 +213,13 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdQuantizedDatapath::mask_soa(const double* u, double* j,
+void SimdQuantizedDatapath::step_soa(const double* u, const double* x_prev,
+                                     double* j, double* x_out,
                                      std::size_t lanes) const {
-  kernels_->batched_mask(mask_->weights().data(), nodes(), channels(), u, j,
-                         lanes);
-  // mask_into's per-element round-to-format, over the whole block.
-  kernels_->scale_quantize(state_format_, 1.0 / state_scale_, j,
-                           nodes() * lanes);
-}
-
-void SimdQuantizedDatapath::step_soa(const double* j, const double* x_prev,
-                                     double* x_out, std::size_t lanes) const {
-  const std::size_t nx = nodes();
-  kernels_->quant_preadd_nonlin(f_, params_.a, state_format_, j, x_prev, x_out,
-                                nx * lanes);
-  kernels_->batched_quant_bchain(params_.b, state_format_,
-                                 x_prev + (nx - 1) * lanes, x_out, nx, lanes);
+  // mask_into's round-to-format and step()'s, over the whole block.
+  kernels_->lane_quant_step(f_, params_.a, params_.b, state_format_,
+                            1.0 / state_scale_, mask_->weights().data(),
+                            channels(), u, x_prev, j, x_out, nodes(), lanes);
 }
 
 void SimdQuantizedDatapath::finalize(std::span<double> r,

@@ -38,11 +38,12 @@
 // bit-identical to the DPRR definition.
 //
 // The two SIMD datapaths also run a step over many series at once, in
-// structure-of-arrays form (mask_soa, step_soa): BatchedScratch serves a
-// micro-batch through them on the lane set (serve/soa_step.hpp), one lane
-// per request, whose DPRR kernel (dprr_lanes()) rounds each lane as the
-// block kernel does, so a batched lane is bit-identical to the
-// single-series pipeline over the same datapath.
+// structure-of-arrays form (step_soa: the mask and the step in one lane step
+// kernel pass): BatchedScratch serves a micro-batch through them on the lane
+// set (serve/soa_step.hpp), one lane per request, whose DPRR kernel
+// (dprr_lanes()) rounds each lane as the block kernel does, so a batched
+// lane is bit-identical to the single-series pipeline over the same
+// datapath.
 //
 // Scratch and model are separate objects. A datapath is the model: cheap to
 // build, immutable, and the full-inference ones hold a reference-counted
@@ -177,12 +178,12 @@ class QuantizedDatapath {
 /// FloatDatapath with the vectorizable stages (masked-input preadd,
 /// nonlinearity) routed through serve/simd_kernels.hpp, the serialized
 /// B-chain as a scalar pass, and the DPRR on its backend's FMA-rounded block
-/// kernel (its lane twin in lockstep). The SoA stages (mask_soa, step_soa)
-/// run the batched mask and B-chain kernels over blocks indexed
-/// [node*lanes + lane]: every vector operation spans independent series, so
-/// the B-chain vectorizes ACROSS series, and each lane rounds exactly like
-/// step() (bit-identical states on x86-64; the batched contract of
-/// simd_kernels.hpp).
+/// kernel (its lane twin in lockstep). The SoA step (step_soa) runs the
+/// mask, preadd, nonlinearity and B-chain as one lane_step kernel pass over
+/// blocks indexed [node*lanes + lane]: every vector operation spans
+/// independent series, so the B-chain vectorizes ACROSS series, and each
+/// lane rounds exactly like mask_into() and step() (bit-identical states on
+/// x86-64; the lane contract of simd_kernels.hpp).
 /// Equivalence to FloatDatapath is governed by the ULP contract documented
 /// in simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound
 /// on finalized features). The artifact constructors share ownership of the
@@ -216,14 +217,13 @@ class SimdFloatDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Input mask over one time step's SoA input block (`u[v*lanes + l]` =
-  /// lane l's channel v): j[i*lanes + l] accumulates in the scalar dot()
-  /// order per lane, so the stage is bit-identical to mask_into per lane.
-  void mask_soa(const double* u, double* j, std::size_t lanes) const;
-  /// step() over SoA blocks of `lanes` series: the preadd + nonlinearity
-  /// over all nodes()*lanes values, then the cross-lane B-chain.
-  void step_soa(const double* j, const double* x_prev, double* x_out,
-                std::size_t lanes) const;
+  /// mask_into, then step(), over SoA blocks of `lanes` series in one
+  /// lane_step kernel pass: from one time step's raw inputs
+  /// (`u[v*lanes + l]` = lane l's channel v) and x(k-1), writes j(k) and
+  /// x(k), indexed [node*lanes + lane], each lane bit-identical to
+  /// mask_into and step().
+  void step_soa(const double* u, const double* x_prev, double* j,
+                double* x_out, std::size_t lanes) const;
   /// The block kernel of kDprrRounding on backend().
   [[nodiscard]] simd::DprrBlockFn dprr_block() const noexcept {
     return kernels_->dprr_block;
@@ -256,7 +256,7 @@ class SimdFloatDatapath {
 /// feature scale+quantize, and the exact DPRR block) routed through
 /// serve/simd_kernels.hpp; the single-series quantized B-chain (which
 /// serializes through the per-node round-to-format) stays a scalar pass, and
-/// the SoA one vectorizes across lanes. Unlike the float ULP contract, every
+/// the SoA one vectorizes across lanes inside the lane_quant_step pass. Unlike the float ULP contract, every
 /// stage is BIT-IDENTICAL to the scalar QuantizedDatapath on every backend,
 /// batched lanes included (see the quantized contract in simd_kernels.hpp;
 /// asserted EXPECT_EQ-strict by test_simd_quant.cpp and test_batched.cpp).
@@ -286,12 +286,10 @@ class SimdQuantizedDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// mask_into over an SoA input block (see SimdFloatDatapath::mask_soa):
-  /// the batched mask, then the round-to-state-format over the block.
-  void mask_soa(const double* u, double* j, std::size_t lanes) const;
-  /// step() over SoA blocks of `lanes` series.
-  void step_soa(const double* j, const double* x_prev, double* x_out,
-                std::size_t lanes) const;
+  /// mask_into, then step(), over SoA blocks of `lanes` series in one
+  /// lane_quant_step kernel pass (see SimdFloatDatapath::step_soa).
+  void step_soa(const double* u, const double* x_prev, double* j,
+                double* x_out, std::size_t lanes) const;
   /// The block kernel of kDprrRounding on backend().
   [[nodiscard]] simd::DprrBlockFn dprr_block() const noexcept {
     return kernels_->dprr_block_exact;

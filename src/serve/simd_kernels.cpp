@@ -53,37 +53,15 @@ void quant_preadd_nonlin_scalar(const Nonlinearity& f, double a,
   }
 }
 
-// Batched SoA B-chain (see simd_kernels.hpp): row n of the state block is
-// finished before row n+1 reads it, so `prev` can simply trail one row — no
-// temporary per-lane carry needed. One multiply + one add per node per lane
-// in node order, exactly the scalar B-chain's rounding (this TU builds
-// without FMA-capable arch flags, so no contraction is possible).
-void batched_bchain_scalar(double b, const double* head, double* x,
-                           std::size_t nx, std::size_t lanes) {
-  const double* prev = head;
-  for (std::size_t n = 0; n < nx; ++n) {
-    double* row = x + n * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) row[l] = row[l] + b * prev[l];
-    prev = row;
-  }
-}
-
-void batched_quant_bchain_scalar(double b, const FixedPointFormat& fmt,
-                                 const double* head, double* x, std::size_t nx,
-                                 std::size_t lanes) {
-  const double* prev = head;
-  for (std::size_t n = 0; n < nx; ++n) {
-    double* row = x + n * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      row[l] = fmt.quantize(row[l] + b * prev[l]);
-    }
-    prev = row;
-  }
-}
-
-void batched_mask_scalar(const double* weights, std::size_t nx,
-                         std::size_t channels, const double* u, double* j,
-                         std::size_t lanes) {
+// The oracle of the lane step entries: the per-stage loops one after another
+// over the SoA blocks (see simd_kernels.hpp). The mask sums each lane from
+// 0.0 in ascending channel; the chain finishes row n before row n+1 reads
+// it, so `prev` simply trails one row. One multiply and one add per term, in
+// the scalar pipeline's order (this TU builds without FMA-capable arch flags,
+// so no contraction is possible).
+void mask_lanes_scalar(const double* weights, std::size_t channels,
+                       const double* u, double* j, std::size_t nx,
+                       std::size_t lanes) {
   for (std::size_t i = 0; i < nx; ++i) {
     const double* wi = weights + i * channels;
     double* row = j + i * lanes;
@@ -93,6 +71,38 @@ void batched_mask_scalar(const double* weights, std::size_t nx,
       const double* uv = u + v * lanes;
       for (std::size_t l = 0; l < lanes; ++l) row[l] += w * uv[l];
     }
+  }
+}
+
+void lane_step_scalar(const Nonlinearity& f, double a, double b,
+                      const double* weights, std::size_t channels,
+                      const double* u, const double* x_prev, double* j,
+                      double* x, std::size_t nx, std::size_t lanes) {
+  mask_lanes_scalar(weights, channels, u, j, nx, lanes);
+  preadd_nonlin_scalar(f, a, j, x_prev, x, nx * lanes);
+  const double* prev = x_prev + (nx - 1) * lanes;
+  for (std::size_t n = 0; n < nx; ++n) {
+    double* row = x + n * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) row[l] = row[l] + b * prev[l];
+    prev = row;
+  }
+}
+
+void lane_quant_step_scalar(const Nonlinearity& f, double a, double b,
+                            const FixedPointFormat& fmt, double scale,
+                            const double* weights, std::size_t channels,
+                            const double* u, const double* x_prev, double* j,
+                            double* x, std::size_t nx, std::size_t lanes) {
+  mask_lanes_scalar(weights, channels, u, j, nx, lanes);
+  scale_quantize_scalar(fmt, scale, j, nx * lanes);
+  quant_preadd_nonlin_scalar(f, a, fmt, j, x_prev, x, nx * lanes);
+  const double* prev = x_prev + (nx - 1) * lanes;
+  for (std::size_t n = 0; n < nx; ++n) {
+    double* row = x + n * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      row[l] = fmt.quantize(row[l] + b * prev[l]);
+    }
+    prev = row;
   }
 }
 
@@ -185,9 +195,8 @@ constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &scale_quantize_scalar,
                                  &quant_preadd_nonlin_scalar,
                                  &dprr_block_scalar,
-                                 &batched_bchain_scalar,
-                                 &batched_quant_bchain_scalar,
-                                 &batched_mask_scalar,
+                                 &lane_step_scalar,
+                                 &lane_quant_step_scalar,
                                  &dprr_lanes_scalar,
                                  &dprr_lanes_scalar,
                                  &row_gram_scalar,

@@ -12,8 +12,10 @@
 //     and training)
 //
 // The third stage, the B-chain x(k)_n = v_n + B * x(k)_{n-1}, serializes on
-// its own output and stays a scalar pass (SimdFloatDatapath::step runs it
-// after the vectorized preadd/nonlinearity).
+// its own output: within one series it stays a scalar pass
+// (SimdFloatDatapath::step runs it after the vectorized preadd/nonlinearity),
+// and across series it vectorizes inside the lane step (see the lane family
+// below).
 //
 // The DPRR stage is one block entry per rounding (DprrBlockFn): a call
 // accumulates `steps` consecutive time steps and keeps a tile of r in
@@ -24,7 +26,7 @@
 // a ring of recent states, and dprr_from_states runs it over a stored
 // trajectory. Its twin over lanes, DprrLanesFn, runs the accumulate of many
 // series at once, also one entry per rounding, with the vectors across
-// series (see the batched family below).
+// series (see the lane family below).
 //
 // Backends are selected at RUNTIME, not by compile flags: the ISA-specific
 // translation units (simd_kernels_avx2.cpp, simd_kernels_avx512.cpp,
@@ -130,71 +132,79 @@ using QuantPreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
                                      const double* j, const double* x_prev,
                                      double* out, std::size_t nx);
 
-// ---- batched (SoA, one lane per concurrent series) kernel family -----------
+// ---- lane (SoA, one lane per concurrent series) kernel family ---------------
 //
 // The single-series kernels above vectorize WITHIN one series, so the B-chain
-// serializes and Nx < vector-width reservoirs leave lanes empty. The batched
-// family — the input mask and the two B-chains — transposes up to
-// kBatchedMaxLanes concurrent series into structure-of-arrays form, state
-// buffers indexed [node*lanes + lane], so every vector operation spans
-// INDEPENDENT series: the per-node B-chain dependence crosses rows, never
-// lanes, and lanes stay full at any Nx. The DPRR has a lane entry per
-// rounding too, dprr_lanes and dprr_lanes_exact: a time block of SoA states
-// accumulates into an r laid out [feature*lanes + lane], so its vectors also
-// span series and no Nx remainder exists. The lane set (serve/soa_step.hpp)
-// runs them for both lockstep forwards: the batched serving engine at its
-// datapath's rounding, the training forward exact.
+// serializes and Nx < vector-width reservoirs leave lanes empty. The lane
+// family transposes up to kBatchedMaxLanes concurrent series into
+// structure-of-arrays form, state buffers indexed [node*lanes + lane], so
+// every vector operation spans INDEPENDENT series: the per-node B-chain
+// dependence crosses rows, never lanes, and lanes stay full at any Nx. One
+// step is one entry per numeric family, lane_step and lane_quant_step: the
+// mask, the preadd and nonlinearity and the B-chain in one pass over the
+// nodes per lane vector, whose chain carry stays in a register, so the
+// mask and preadd of the next node overlap the chain's serial latency. The
+// DPRR has a lane entry per rounding too, dprr_lanes and dprr_lanes_exact: a
+// time block of SoA states accumulates into an r laid out
+// [feature*lanes + lane], so its vectors also span series and no Nx
+// remainder exists. The lane set (serve/soa_step.hpp) runs them for both
+// lockstep forwards: the batched serving engine at its datapath's rounding,
+// the training forward exact.
 //
 // Per-lane equivalence contract (x86-64; the aarch64 caveat above applies):
-//   * batched_mask and batched_bchain perform the scalar mask's and B-chain's
-//     multiplies and adds per lane in the same order — never FMA — so
-//     batched float states are bit-identical per lane to the single-series
-//     path on every backend. A lane's DPRR runs dprr_lanes on those states,
-//     so batched float features match the single-series SIMD engine
-//     bit-identically per lane and the scalar FloatDatapath within
-//     simd_feature_ulp_bound (same contract as above).
-//   * batched_quant_bchain never uses FMA and rounds exactly like the scalar
-//     fixed-point B-chain, and quantized lanes accumulate through
-//     dprr_lanes_exact: batched quantized lanes are BIT-IDENTICAL to the
-//     scalar QuantizedDatapath on every backend (asserted EXPECT_EQ-strict
-//     by test_batched.cpp).
+//   * lane_step performs, per lane, the scalar mask's, preadd's,
+//     nonlinearity's and B-chain's multiplies and adds in their order —
+//     never FMA, libm nonlinearities per element — so lane float states are
+//     bit-identical per lane to the single-series path on every backend. A
+//     lane's DPRR runs dprr_lanes on those states, so batched float
+//     features match the single-series SIMD engine bit-identically per lane
+//     and the scalar FloatDatapath within simd_feature_ulp_bound (same
+//     contract as above).
+//   * lane_quant_step adds the quantized family's round-to-format at the
+//     scalar pipeline's three points, never uses FMA, and quantized lanes
+//     accumulate through dprr_lanes_exact: batched quantized lanes are
+//     BIT-IDENTICAL to the scalar QuantizedDatapath on every backend
+//     (asserted EXPECT_EQ-strict by test_batched.cpp).
+//   * Each step entry's scalar backend runs the per-stage loops one after
+//     another, the oracle its SIMD twins match with memcmp (test_simd.cpp,
+//     test_simd_quant.cpp).
 //   * dprr_lanes gives every element of every lane's r one FMA per step in
 //     time order, as dprr_block does, and dprr_lanes_exact one multiply,
 //     then one add, as dprr_block_exact does, so each lane's r is
 //     bit-identical to the block entry of its rounding over that lane's
 //     states on every backend (memcmp-checked by test_simd.cpp).
-// The elementwise stages (preadd_nonlin, quant_preadd_nonlin,
-// scale_quantize) are reused unchanged over nx*lanes-element SoA blocks —
-// they are pure per-element maps, so the SoA layout cannot change rounding.
 
 /// Hard cap on concurrent lanes a batched engine transposes into SoA form.
 /// ServerConfig::max_batch is validated against it at server construction.
 inline constexpr std::size_t kBatchedMaxLanes = 16;
 
-/// Batched SoA B-chain over `lanes` independent series. On entry
-/// x[n*lanes + l] holds the preadd/nonlinearity output v_n for lane l and
-/// head[l] holds lane l's previous-step closing state x(k-1)_{Nx}; on exit
-/// x[n*lanes + l] = x(k)_n for lane l via x_n = v_n + b * x_{n-1} (one
-/// multiply, one add per node — never FMA, so each lane rounds exactly like
-/// the scalar B-chain). `head` must not alias `x`.
-using BatchedBChainFn = void (*)(double b, const double* head, double* x,
-                                 std::size_t nx, std::size_t lanes);
+/// One reservoir step of `lanes` independent series over SoA blocks, lane l
+/// of node n at [n*lanes + l], from the raw inputs u[v*lanes + l] (channel v)
+/// and the previous states x_prev. For every lane l and node n in ascending
+/// order:
+///   j[n*lanes + l] = sum_v weights[n*channels + v] * u[v*lanes + l]
+///     (from 0.0 in ascending v: the scalar Mask::apply_into order),
+///   x[n*lanes + l] = a * f~(j[n*lanes + l] + x_prev[n*lanes + l])
+///                    + b * x_{n-1},
+/// with x_{-1} lane l's previous closing state x_prev[(nx-1)*lanes + l].
+/// Every multiply and add rounds once (never FMA), so each lane is
+/// bit-identical to the single-series mask and step. `j` and `x` must not
+/// alias each other or the inputs.
+using LaneStepFn = void (*)(const Nonlinearity& f, double a, double b,
+                            const double* weights, std::size_t channels,
+                            const double* u, const double* x_prev, double* j,
+                            double* x, std::size_t nx, std::size_t lanes);
 
-/// Quantized twin of BatchedBChainFn: x_n = fmt.quantize(v_n + b * x_{n-1})
-/// per lane, bit-identical to the scalar quantized B-chain.
-using BatchedQuantBChainFn = void (*)(double b, const FixedPointFormat& fmt,
-                                      const double* head, double* x,
-                                      std::size_t nx, std::size_t lanes);
-
-/// Batched SoA input mask: for every lane l,
-/// j[i*lanes + l] = sum_v weights[i*channels + v] * u[v*lanes + l],
-/// accumulated from 0.0 in ascending v with separate multiply and add
-/// (never FMA). That is exactly the scalar Mask::apply_into -> matvec_into
-/// -> dot() evaluation order per lane, so every lane is bit-identical to
-/// the unbatched mask stage regardless of backend.
-using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
-                               std::size_t channels, const double* u,
-                               double* j, std::size_t lanes);
+/// Quantized twin of LaneStepFn, with the quantized pipeline's three
+/// round-to-format points Q = fmt.quantize: j = Q(mask sum * scale) (scale =
+/// 1 / the state scale), s = Q(j + x_prev), x_n = Q(a * f~(s) + b * x_{n-1}).
+/// Bit-identical per lane to the scalar QuantizedDatapath's mask and step.
+using LaneQuantStepFn = void (*)(const Nonlinearity& f, double a, double b,
+                                 const FixedPointFormat& fmt, double scale,
+                                 const double* weights, std::size_t channels,
+                                 const double* u, const double* x_prev,
+                                 double* j, double* x, std::size_t nx,
+                                 std::size_t lanes);
 
 /// Time-blocked DPRR over `lanes` series at once: DprrBlockFn with every
 /// state row and every element of r widened to one value per lane.
@@ -246,8 +256,8 @@ using BackProjectFn = void (*)(const double* const* rows, std::size_t n,
 /// single rounding, ULP-bounded); `dprr_block_exact` rounds twice per
 /// accumulate like the scalar reference and is bit-identical to it on every
 /// backend (the quantized family, single-series training and
-/// dprr_from_states use it). The batched_* members run one step per call
-/// over the SoA layout documented above, and `dprr_lanes` /
+/// dprr_from_states use it). `lane_step` and `lane_quant_step` run one step
+/// per call over the SoA layout documented above, and `dprr_lanes` /
 /// `dprr_lanes_exact` a time block of it at the two roundings, the lane
 /// set's accumulate (serve/soa_step.hpp); `row_gram` and `back_project` are
 /// the ridge readout's exact products.
@@ -258,9 +268,8 @@ struct Kernels {
   ScaleQuantizeFn scale_quantize;
   QuantPreaddNonlinFn quant_preadd_nonlin;
   DprrBlockFn dprr_block_exact;
-  BatchedBChainFn batched_bchain;
-  BatchedQuantBChainFn batched_quant_bchain;
-  BatchedMaskFn batched_mask;
+  LaneStepFn lane_step;
+  LaneQuantStepFn lane_quant_step;
   DprrLanesFn dprr_lanes;
   DprrLanesFn dprr_lanes_exact;
   RowGramFn row_gram;

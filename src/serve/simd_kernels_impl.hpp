@@ -22,7 +22,7 @@
 // and optionally `Half`, a trait of the same shape at half the width.
 //
 // Remainder policy, in one place (for_each_block) and the same on every ISA
-// and loop shape (Nx for the single-series kernels, lanes for the batched
+// and loop shape (Nx for the single-series kernels, lanes for the lane
 // ones, rows or features for the ridge products): whole vectors first, then
 // one Ops::Half vector when the trait has one and at least that many
 // elements remain, then a scalar remainder that runs the same block body
@@ -133,44 +133,52 @@ inline typename O::vec quantize(typename O::vec v,
   return O::zero_nan(v, O::max(O::min(out, O::set1(q.hi)), O::set1(q.lo)));
 }
 
-// out[n] = a * f~(s_n) with s_n = make_s(ops, n): the float preadd loads
-// s = j[n] + x_prev[n], the quantized preadd additionally rounds s to the
-// state format. The polynomial / rational nonlinearities are written once
-// over the ops tag with the scalar evaluation order preserved; the
-// libm-backed ones (tanh, sine, Mackey–Glass with its pow) keep per-element
-// scalar calls on top of the same s-production semantics, so the stage
-// contract is unaffected.
-template <class Ops, class MakeS>
-inline void preadd_nonlin_body(const Nonlinearity& f, double a, double* out,
-                               std::size_t nx, const MakeS& make_s) {
-  const auto run = [&](const auto& value_of) {
-    for_each_block<Ops>(nx, [&]<class O>(O ops, std::size_t n) {
-      O::store(out + n, O::mul(O::set1(a), value_of(ops, make_s(ops, n))));
-    });
-  };
+/// run(value_of) for the polynomial and rational kinds, where
+/// value_of(ops, s) = f~(s) lane-wise as a vector expression in the scalar
+/// evaluation order; run_libm() for the libm-backed ones (tanh, sine,
+/// Mackey-Glass with its pow), which the callers evaluate per element.
+template <class Run, class RunLibm>
+inline void with_nonlinearity(const Nonlinearity& f, const Run& run,
+                              const RunLibm& run_libm) {
   switch (f.kind()) {
     case NonlinearityKind::kIdentity:
-      run([](auto, auto s) { return s; });
-      return;
+      return run([](auto, auto s) { return s; });
     case NonlinearityKind::kCubic:
       // s - s*s*s/3, evaluated as ((s*s)*s)/3 like the scalar expression.
-      run([]<class O>(O, typename O::vec s) {
+      return run([]<class O>(O, typename O::vec s) {
         return O::sub(s, O::div(O::mul(O::mul(s, s), s), O::set1(3.0)));
       });
-      return;
     case NonlinearityKind::kSaturating:
-      run([]<class O>(O, typename O::vec s) {
+      return run([]<class O>(O, typename O::vec s) {
         return O::div(s, O::add(O::set1(1.0), O::abs(s)));
       });
-      return;
     case NonlinearityKind::kMackeyGlass:
     case NonlinearityKind::kTanh:
     case NonlinearityKind::kSine:
-      for (std::size_t n = 0; n < nx; ++n) {
-        out[n] = a * f.value(make_s(ScalarOps{}, n));
-      }
-      return;
+      return run_libm();
   }
+}
+
+// out[n] = a * f~(s_n) with s_n = make_s(ops, n): the float preadd loads
+// s = j[n] + x_prev[n], the quantized preadd additionally rounds s to the
+// state format. The libm-backed kinds run a scalar loop on top of the same
+// s-production semantics, so the stage contract is unaffected.
+template <class Ops, class MakeS>
+inline void preadd_nonlin_body(const Nonlinearity& f, double a, double* out,
+                               std::size_t nx, const MakeS& make_s) {
+  with_nonlinearity(
+      f,
+      [&](const auto& value_of) {
+        for_each_block<Ops>(nx, [&]<class O>(O ops, std::size_t n) {
+          O::store(out + n,
+                   O::mul(O::set1(a), value_of(ops, make_s(ops, n))));
+        });
+      },
+      [&] {
+        for (std::size_t n = 0; n < nx; ++n) {
+          out[n] = a * f.value(make_s(ScalarOps{}, n));
+        }
+      });
 }
 
 template <class Ops>
@@ -263,65 +271,78 @@ void dprr_block(double* r, const double* states, std::size_t steps,
   });
 }
 
-// ---- batched (SoA) kernels: vectors span lanes, i.e. independent series ----
-// The B-chain dependence runs across node rows, never across lanes, so the
-// chain that serializes the single-series path becomes full-width
-// multiply+adds per node row here (no FMA — each lane must round exactly like
-// the scalar B-chain; see the batched contract in simd_kernels.hpp).
-
-// x_n = finish(v_n + b * x_{n-1}) per lane, where `finish` is the identity
-// for the float chain and the state-format quantization for the quantized
-// one.
-template <class Ops, class Finish>
-inline void bchain_body(double b, const double* head, double* x,
-                        std::size_t nx, std::size_t lanes,
-                        const Finish& finish) {
-  const double* prev = head;
-  for (std::size_t n = 0; n < nx; ++n) {
-    double* row = x + n * lanes;
+// ---- the lane step (LaneStepFn, LaneQuantStepFn) ----------------------------
+// One reservoir step over SoA lane blocks, whose vectors span lanes, i.e.
+// independent series: the B-chain dependence runs across node rows, never
+// across lanes. Per lane vector, node by node: the mask's sum over channels
+// from 0.0, `round_j` on it (the quantized family's round-to-format), the
+// preadd rounded by `round` (identity, or the state format), the
+// nonlinearity and gain, then the chain from the carry x(k)_{n-1}, which
+// stays in a register from node to node. So the mask and preadd of node n+1
+// overlap the chain's serial multiply-then-add at node n. Each lane performs
+// the separate per-stage loops' operations in their order (the scalar
+// entries): a multiply, then an add, never FMA, and the libm-backed
+// nonlinearities one element at a time (see the lane step contract in
+// simd_kernels.hpp).
+template <class Ops, class RoundJ, class Round>
+inline void lane_step_body(const Nonlinearity& f, double a, double b,
+                           const double* weights, std::size_t channels,
+                           const double* u, const double* x_prev, double* j,
+                           double* x, std::size_t nx, std::size_t lanes,
+                           const RoundJ& round_j, const Round& round) {
+  const auto run = [&](const auto& value_of) {
     for_each_block<Ops>(lanes, [&]<class O>(O ops, std::size_t l) {
-      O::store(row + l,
-               finish(ops, O::add(O::load(row + l),
-                                  O::mul(O::set1(b), O::load(prev + l)))));
-    });
-    prev = row;
-  }
-}
-
-template <class Ops>
-void batched_bchain(double b, const double* head, double* x, std::size_t nx,
-                    std::size_t lanes) {
-  bchain_body<Ops>(b, head, x, nx, lanes, [](auto, auto v) { return v; });
-}
-
-template <class Ops>
-void batched_quant_bchain(double b, const FixedPointFormat& fmt,
-                          const double* head, double* x, std::size_t nx,
-                          std::size_t lanes) {
-  const QuantizeConsts q(fmt);
-  bchain_body<Ops>(b, head, x, nx, lanes,
-                   [&]<class O>(O, typename O::vec v) {
-                     return quantize<O>(v, q);
-                   });
-}
-
-// Batched SoA mask: broadcast one weight, multiply by the channel's lane
-// vector, accumulate with separate mul + add in ascending v — the scalar
-// dot() order per lane, so every lane is bit-identical to Mask::apply_into.
-template <class Ops>
-void batched_mask(const double* weights, std::size_t nx, std::size_t channels,
-                  const double* u, double* j, std::size_t lanes) {
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* wi = weights + i * channels;
-    double* row = j + i * lanes;
-    for_each_block<Ops>(lanes, [&]<class O>(O, std::size_t l) {
-      typename O::vec acc = O::set1(0.0);
-      for (std::size_t v = 0; v < channels; ++v) {
-        acc = O::add(acc, O::mul(O::set1(wi[v]), O::load(u + v * lanes + l)));
+      typename O::vec carry = O::load(x_prev + (nx - 1) * lanes + l);
+      for (std::size_t n = 0; n < nx; ++n) {
+        const double* w_n = weights + n * channels;
+        typename O::vec j_n = O::set1(0.0);
+        for (std::size_t v = 0; v < channels; ++v) {
+          j_n = O::add(j_n,
+                       O::mul(O::set1(w_n[v]), O::load(u + v * lanes + l)));
+        }
+        j_n = round_j(ops, j_n);
+        O::store(j + n * lanes + l, j_n);
+        const typename O::vec s =
+            round(ops, O::add(j_n, O::load(x_prev + n * lanes + l)));
+        const typename O::vec v_n = O::mul(O::set1(a), value_of(ops, s));
+        carry = round(ops, O::add(v_n, O::mul(O::set1(b), carry)));
+        O::store(x + n * lanes + l, carry);
       }
-      O::store(row + l, acc);
     });
-  }
+  };
+  with_nonlinearity(f, run, [&] {
+    run([&f]<class O>(O, typename O::vec s) {
+      double e[O::kWidth];
+      O::store(e, s);
+      for (double& v : e) v = f.value(v);
+      return O::load(e);
+    });
+  });
+}
+
+template <class Ops>
+void lane_step(const Nonlinearity& f, double a, double b,
+               const double* weights, std::size_t channels, const double* u,
+               const double* x_prev, double* j, double* x, std::size_t nx,
+               std::size_t lanes) {
+  const auto keep = [](auto, auto v) { return v; };
+  lane_step_body<Ops>(f, a, b, weights, channels, u, x_prev, j, x, nx, lanes,
+                      keep, keep);
+}
+
+template <class Ops>
+void lane_quant_step(const Nonlinearity& f, double a, double b,
+                     const FixedPointFormat& fmt, double scale,
+                     const double* weights, std::size_t channels,
+                     const double* u, const double* x_prev, double* j,
+                     double* x, std::size_t nx, std::size_t lanes) {
+  const QuantizeConsts q(fmt);
+  lane_step_body<Ops>(
+      f, a, b, weights, channels, u, x_prev, j, x, nx, lanes,
+      [&]<class O>(O, typename O::vec v) {
+        return quantize<O>(O::mul(v, O::set1(scale)), q);
+      },
+      [&]<class O>(O, typename O::vec v) { return quantize<O>(v, q); });
 }
 
 // ---- the DPRR across lanes (DprrLanesFn) ------------------------------------
@@ -570,9 +591,8 @@ constexpr Kernels kernel_table(Backend backend) noexcept {
                  &scale_quantize<Ops>,
                  &quant_preadd_nonlin<Ops>,
                  &dprr_block<Ops, Accumulate::kExact>,
-                 &batched_bchain<Ops>,
-                 &batched_quant_bchain<Ops>,
-                 &batched_mask<Ops>,
+                 &lane_step<Ops>,
+                 &lane_quant_step<Ops>,
                  &dprr_lanes<Ops, Accumulate::kFloat>,
                  &dprr_lanes<Ops, Accumulate::kExact>,
                  &row_gram<Ops>,

@@ -8,10 +8,11 @@
 // `lanes` rounded up to whole kPadLanes vectors, so the SoA step and the
 // lane kernel run no scalar lane remainder; the pad lanes repeat the first
 // series, and their results are never read. advance() gathers each lane's
-// input row and runs a SIMD datapath's two SoA stages, mask_soa (the mask
-// and, for the quantized family, its round-to-format) -> step_soa (preadd +
-// nonlinearity, then the cross-lane B-chain), writing x(k) straight into
-// the next block of a ring of kBlockSteps + 1 blocks. Each full ring goes
+// input row and makes one SIMD datapath call, step_soa: the family's lane
+// step kernel (simd::Kernels::lane_step or lane_quant_step), which runs the
+// mask, the preadd + nonlinearity and the cross-lane B-chain in one pass
+// over the nodes, writing j(k) and x(k), the latter straight into the next
+// block of a ring of kBlockSteps + 1 blocks. Each full ring goes
 // through the lane DPRR kernel given at start() in one call, which
 // accumulates every lane's r, laid out [feature][lane]. The ring and r start
 // on a 64-byte line, so at 8 lanes every lane vector fills one line: a
@@ -74,17 +75,15 @@ class SoaStep {
                         std::span<const Matrix* const> series, std::size_t k) {
     DFR_DCHECK(series.size() == lanes_);
     // Gather this time step's raw inputs into SoA (channels*width cheap
-    // copies), then mask all lanes at once: j_[i*width + l] = (M u_l(k))_i.
-    // The batched mask kernel preserves the scalar dot() order per lane, so
-    // this stage stays bit-identical to per-lane Mask::apply_into.
+    // copies), then step all lanes at once in one kernel pass, which writes
+    // j_[i*width + l] = (M u_l(k))_i and x(k).
     for (std::size_t l = 0; l < width_; ++l) {
       const auto row = series[l < lanes_ ? l : 0]->row(k);
       for (std::size_t v = 0; v < channels_; ++v) u_[v * width_ + l] = row[v];
     }
     const std::size_t block = nx_ * width_;
     double* const x = line_start() + (pending_ + 1) * block;
-    datapath.mask_soa(u_.data(), j_.data(), width_);
-    datapath.step_soa(j_.data(), x - block, x, width_);
+    datapath.step_soa(u_.data(), x - block, j_.data(), x, width_);
     if (++pending_ == kBlockSteps) flush();
     return x;
   }

@@ -450,6 +450,62 @@ TEST(SimdKernels, DprrLanesBitIdenticalToPerLaneBlocks) {
   }
 }
 
+// The lane step against its scalar entry, the per-stage loops run one after
+// another, on every backend: j and x must have the oracle's bits (memcmp, so
+// signed zeros count) for every nonlinearity, Nx from 1 to 17 and at 30, 31
+// and 100, every lane count from 1 to 16 and 1 to 3 channels. About a tenth
+// of the inputs, previous states and mask weights are exactly +0.0 or -0.0.
+TEST(SimdKernels, LaneStepBitIdenticalToScalarEntry) {
+#if !(defined(__x86_64__) || defined(_M_X64))
+  GTEST_SKIP() << "the scalar oracle's TU may fuse on this architecture";
+#endif
+  std::vector<std::size_t> sizes;
+  for (std::size_t nx = 1; nx <= 17; ++nx) sizes.push_back(nx);
+  for (std::size_t nx : {30, 31, 100}) sizes.push_back(nx);
+  const simd::Kernels& oracle = simd::kernels_for(simd::Backend::kScalar);
+  constexpr double kA = 0.7, kB = 0.35;
+  Rng rng(43);
+  const auto draw = [&rng](double scale) {
+    const double u = rng.uniform(-1.0, 1.0);
+    if (std::fabs(u) < 0.1) return u < 0.0 ? -0.0 : 0.0;
+    return scale * u;
+  };
+  for (NonlinearityKind kind : kAllKinds) {
+    const Nonlinearity f(kind);
+    for (std::size_t nx : sizes) {
+      for (std::size_t channels = 1; channels <= 3; ++channels) {
+        Vector weights(nx * channels);
+        for (double& w : weights) w = draw(1.0);
+        for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+          Vector u(channels * lanes), x_prev(nx * lanes);
+          for (double& v : u) v = draw(2.0);
+          for (double& v : x_prev) v = draw(2.0);
+          Vector j_ref(nx * lanes), x_ref(nx * lanes);
+          oracle.lane_step(f, kA, kB, weights.data(), channels, u.data(),
+                           x_prev.data(), j_ref.data(), x_ref.data(), nx,
+                           lanes);
+          const std::size_t bytes = nx * lanes * sizeof(double);
+          for (simd::Backend b : available_backends()) {
+            Vector j(nx * lanes, std::nan("")), x(nx * lanes, std::nan(""));
+            simd::kernels_for(b).lane_step(f, kA, kB, weights.data(),
+                                           channels, u.data(), x_prev.data(),
+                                           j.data(), x.data(), nx, lanes);
+            const std::string context =
+                std::string(simd::backend_name(b)) + " " +
+                nonlinearity_name(kind) + " nx=" + std::to_string(nx) +
+                " channels=" + std::to_string(channels) +
+                " lanes=" + std::to_string(lanes);
+            ASSERT_EQ(std::memcmp(j.data(), j_ref.data(), bytes), 0)
+                << context << " j";
+            ASSERT_EQ(std::memcmp(x.data(), x_ref.data(), bytes), 0)
+                << context << " x";
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- pipeline equivalence: the documented ULP bound ------------------------
 
 // Finalized features (full mask -> step -> DPRR -> finalize pipeline) for
